@@ -8,36 +8,31 @@ objective over the polynomial coefficients with a conjugate-gradient
 iteration, cross-checked by a direct dense solve.
 """
 
-from .errors import (ContractViolationError, DegenerateDirectionError,
-                     DivergenceError, DomainError, HeatSourceError,
-                     ShapeMismatchError, SingularSystemError,
+from .errors import (DegenerateDirectionError, DivergenceError, DomainError,
+                     HeatSourceError, ShapeMismatchError, SingularSystemError,
                      TruncationWarning)
 from .harness import (CASES, ErrorReport, InversionResult, ManufacturedCase,
                       SweepCell, default_sweep_cells, emit_sensitivity_data,
                       generate_measurements, get_case, invert_case,
                       rmse_report, sensitivity_demo_geometry, sweep)
-from .kernels import (DEFAULT_TRUNCATION, Eigenvalue, TruncationPolicy,
-                      exp_moment, greens_function, sine_moment, source_kernel)
+from .kernels import (DEFAULT_TRUNCATION, TruncationPolicy, exp_moment,
+                      greens_function, sine_moment, source_kernel)
 from .model import (Geometry, MeasurementMesh, PolyParams, SensitivityTables,
-                    direction_response, eval_u_final, eval_u_interior,
-                    sensitivity_tables)
+                    eval_u_final, eval_u_interior, sensitivity_tables)
 from .objective import (Measurements, ObjectiveConfig, cost, gradient,
                         ridge_solve)
 from .solver import (ConvergenceReport, IterationTrace, SolverConfig,
-                     StationarityCheck, descent_directions, fr_coefficients,
-                     solve, stationarity_check, step_sizes)
+                     StationarityCheck, solve, stationarity_check, step_size)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CASES",
-    "ContractViolationError",
     "ConvergenceReport",
     "DEFAULT_TRUNCATION",
     "DegenerateDirectionError",
     "DivergenceError",
     "DomainError",
-    "Eigenvalue",
     "ErrorReport",
     "Geometry",
     "HeatSourceError",
@@ -58,13 +53,10 @@ __all__ = [
     "TruncationPolicy",
     "cost",
     "default_sweep_cells",
-    "descent_directions",
-    "direction_response",
     "emit_sensitivity_data",
     "eval_u_final",
     "eval_u_interior",
     "exp_moment",
-    "fr_coefficients",
     "generate_measurements",
     "get_case",
     "gradient",
@@ -78,6 +70,6 @@ __all__ = [
     "solve",
     "source_kernel",
     "stationarity_check",
-    "step_sizes",
+    "step_size",
     "sweep",
 ]

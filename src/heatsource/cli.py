@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -103,10 +105,39 @@ class RunConfig:
     run_id: str = ""
     phi: tuple = ()
     theta: tuple = ()
-    jobs: int = 1
     sweep_n: str = "6x5,12x9"
     sweep_xstar: str = "-1.34,-0.17,0.99,2.15,2.97"
     sweep_alpha: str = ""
+
+    @cached_property
+    def sweep_cells(self) -> list:
+        """The sweep grid in run order.  Every entry is parsed and checked
+        like the single-run key it stands for; a bad one raises
+        ConfigValueError.  Blank entries are skipped."""
+        def entries(raw):
+            return [part.strip() for part in raw.split(",") if part.strip()]
+
+        sizes = []
+        for pair in entries(self.sweep_n):
+            left, sep, right = pair.partition("x")
+            if not sep:
+                raise ConfigValueError(
+                    f"sweep_n entry {pair!r}: expected N_XxN_T like 12x9")
+            sizes.append((_parse_checked("n_x", left, "sweep_n"),
+                          _parse_checked("n_t", right, "sweep_n")))
+        x_stars = [_parse_float(raw, "sweep_xstar")
+                   for raw in entries(self.sweep_xstar)]
+        for x_star in x_stars:
+            _check_x_star(self.case, x_star, "sweep_xstar")
+        alphas = ([_parse_checked("alpha", raw, "sweep_alpha")
+                   for raw in entries(self.sweep_alpha)]
+                  if self.sweep_alpha.strip() else [self.alpha])
+        cells = [SweepCell(n_x=n_x, n_t=n_t, x_star=x_star, alpha=alpha)
+                 for n_x, n_t in sizes for x_star in x_stars
+                 for alpha in alphas]
+        if not cells:
+            raise ConfigValueError("sweep grid is empty")
+        return cells
 
 
 def _parse_int(raw, key):
@@ -118,9 +149,12 @@ def _parse_int(raw, key):
 
 def _parse_float(raw, key):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigValueError(f"{key}={raw!r}: expected a number") from None
+    if not math.isfinite(value):
+        raise ConfigValueError(f"{key}={raw!r}: expected a finite number")
+    return value
 
 
 def _parse_optional_int(raw, key):
@@ -139,11 +173,7 @@ def _parse_floats(raw, key):
     raw = raw.strip()
     if not raw:
         return ()
-    try:
-        return tuple(float(part) for part in raw.split(","))
-    except ValueError:
-        raise ConfigValueError(
-            f"{key}={raw!r}: expected comma-separated numbers") from None
+    return tuple(_parse_float(part, key) for part in raw.split(","))
 
 
 _PARSERS = {
@@ -166,7 +196,6 @@ _PARSERS = {
     "run_id": lambda raw, key: raw.strip(),
     "phi": _parse_floats,
     "theta": _parse_floats,
-    "jobs": _parse_int,
     "sweep_n": lambda raw, key: raw.strip(),
     "sweep_xstar": lambda raw, key: raw.strip(),
     "sweep_alpha": lambda raw, key: raw.strip(),
@@ -182,34 +211,40 @@ _RANGES = {
     "restart_period": (lambda v: v is None or v >= 1,
                        "restart_period must be >= 1 or none"),
     "noise_level": (lambda v: v >= 0.0, "noise_level must be >= 0"),
+    "seed": (lambda v: v >= 0, "seed must be an integer >= 0"),
     "i_x": (lambda v: v >= 1, "i_x must be an integer >= 1"),
     "i_t": (lambda v: v >= 1, "i_t must be an integer >= 1"),
     "trunc_tol": (lambda v: v > 0.0, "trunc_tol must be > 0"),
     "max_terms": (lambda v: v >= 1, "max_terms must be an integer >= 1"),
-    "jobs": (lambda v: v >= 1, "jobs must be an integer >= 1"),
 }
 
 
-def read_config_file(path) -> dict:
-    """Read a flat key=value file; '#' starts a comment, blanks ignored."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigFileMissingError(f"config file not found: {path}")
-    values = {}
-    for lineno, raw_line in enumerate(path.read_text().splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigParseError(
-                f"{path}:{lineno}: expected key=value, got {raw_line!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    return values
+def _check_range(key, value, source):
+    check, message = _RANGES[key]
+    if not check(value):
+        raise ConfigValueError(f"{source}={value}: {message}")
 
 
-def parse_config_text(text: str) -> RunConfig:
-    """Parse configuration from in-memory key=value text."""
+def _parse_checked(key, raw, source):
+    """Parse ``raw`` as the value of ``key`` and apply its range check;
+    ``source`` names the setting in error messages."""
+    value = _PARSERS[key](raw, source)
+    _check_range(key, value, source)
+    return value
+
+
+def _check_x_star(case_name, x_star, source):
+    geom = get_case(case_name).geometry
+    lo, hi = geom.offset, geom.offset + geom.length
+    if not lo < x_star < hi:
+        raise ConfigValueError(
+            f"{source}={x_star}: must lie strictly inside "
+            f"({lo:g}, {hi:g}) for case {case_name!r}")
+
+
+def _parse_lines(text: str, where: str) -> dict:
+    """Key=value pairs of config text; '#' starts a comment, blank lines are
+    ignored.  ``where`` prefixes the line number in error messages."""
     values = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -217,10 +252,30 @@ def parse_config_text(text: str) -> RunConfig:
             continue
         if "=" not in line:
             raise ConfigParseError(
-                f"line {lineno}: expected key=value, got {raw_line!r}")
+                f"{where}{lineno}: expected key=value, got {raw_line!r}")
         key, _, value = line.partition("=")
         values[key.strip()] = value.strip()
-    return _build_config(values)
+    return values
+
+
+def _read_config_file(path) -> str:
+    """The text of a config file; an unreadable file raises
+    ConfigFileMissingError, one that is not UTF-8 ConfigParseError."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ConfigFileMissingError(
+            f"cannot read config file {path}: {exc.strerror}") from None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigParseError(
+            f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
+def parse_config_text(text: str) -> RunConfig:
+    """Parse configuration from in-memory key=value text."""
+    return _build_config(_parse_lines(text, "line "))
 
 
 def parse_config(path=None, overrides=None) -> RunConfig:
@@ -230,7 +285,7 @@ def parse_config(path=None, overrides=None) -> RunConfig:
     """
     values = {}
     if path is not None:
-        values.update(read_config_file(path))
+        values.update(_parse_lines(_read_config_file(path), f"{path}:"))
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
     return _build_config(values)
@@ -261,28 +316,22 @@ def _build_config(raw_values: dict) -> RunConfig:
     cfg = replace(RunConfig(command=command),
                   **{k: v for k, v in parsed.items() if k != "command"})
 
-    for key, (check, message) in _RANGES.items():
-        value = getattr(cfg, key)
-        if not check(value):
-            raise ConfigValueError(f"{key}={value}: {message}")
+    for key in _RANGES:
+        _check_range(key, getattr(cfg, key), key)
 
     try:
-        case = get_case(cfg.case)
+        get_case(cfg.case)
     except KeyError as exc:
         raise ConfigValueError(str(exc)) from None
     if cfg.x_star is not None:
-        geom = case.geometry
-        lo, hi = geom.offset, geom.offset + geom.length
-        if not lo < cfg.x_star < hi:
-            raise ConfigValueError(
-                f"x_star={cfg.x_star}: must lie strictly inside "
-                f"({lo:g}, {hi:g}) for case {cfg.case!r}")
+        _check_x_star(cfg.case, cfg.x_star, "x_star")
 
     if not cfg.outdir:
         cfg = replace(cfg, outdir=os.environ.get("HEATSOURCE_OUTDIR", "."))
     if not cfg.run_id:
         cfg = replace(cfg, run_id=f"{cfg.command}_{cfg.case}")
-    _parse_sweep_cells(cfg)  # validate sweep grids even if unused
+    if cfg.command == "sweep":
+        cfg.sweep_cells  # reject a bad cell before any cell runs
     return cfg
 
 
@@ -300,33 +349,6 @@ def config_echo(cfg: RunConfig):
             text = str(value)
         pairs.append((f.name, text))
     return pairs
-
-
-def _parse_sweep_cells(cfg: RunConfig):
-    cells = []
-    alphas = ([float(a) for a in cfg.sweep_alpha.split(",") if a.strip()]
-              if cfg.sweep_alpha.strip() else [cfg.alpha])
-    for pair in cfg.sweep_n.split(","):
-        pair = pair.strip()
-        if not pair:
-            continue
-        if "x" not in pair:
-            raise ConfigValueError(
-                f"sweep_n entry {pair!r}: expected N_XxN_T like 12x9")
-        left, _, right = pair.partition("x")
-        n_x = _parse_int(left, "sweep_n")
-        n_t = _parse_int(right, "sweep_n")
-        for xs in cfg.sweep_xstar.split(","):
-            xs = xs.strip()
-            if not xs:
-                continue
-            x_star = _parse_float(xs, "sweep_xstar")
-            for alpha in alphas:
-                cells.append(SweepCell(n_x=n_x, n_t=n_t, x_star=x_star,
-                                       alpha=alpha))
-    if not cells:
-        raise ConfigValueError("sweep grid is empty")
-    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -431,11 +453,9 @@ def _run_forward(cfg: RunConfig) -> int:
 
 
 def _run_sweep(cfg: RunConfig) -> int:
-    case = _case_for(cfg)
-    cells = _parse_sweep_cells(cfg)
-    reports = sweep(case, cells, _solver_config(cfg), i_x=cfg.i_x,
-                    i_t=cfg.i_t, noise_level=cfg.noise_level, seed=cfg.seed,
-                    trunc=_trunc(cfg), jobs=cfg.jobs)
+    reports = sweep(_case_for(cfg), cfg.sweep_cells, _solver_config(cfg),
+                    i_x=cfg.i_x, i_t=cfg.i_t, noise_level=cfg.noise_level,
+                    seed=cfg.seed, trunc=_trunc(cfg))
     write_csv(Path(cfg.outdir) / f"{cfg.run_id}_sweep.csv",
               ErrorReport.CSV_HEADER, (r.csv_row() for r in reports))
     converged = sum(1 for r in reports if r.status == "converged")

@@ -13,10 +13,6 @@ class ShapeMismatchError(HeatSourceError, ValueError):
     """Vector or table shapes are inconsistent with the problem sizes."""
 
 
-class ContractViolationError(HeatSourceError, ValueError):
-    """A caller broke an interface contract (not a numeric failure)."""
-
-
 class SingularSystemError(HeatSourceError, RuntimeError):
     """The unregularized normal system is rank deficient."""
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -16,7 +15,8 @@ from numpy.polynomial import polynomial as npoly
 from .kernels import DEFAULT_TRUNCATION, TruncationPolicy
 from .model import (Geometry, MeasurementMesh, PolyParams,
                     phi_response_history, phi_response_profile,
-                    theta_response_history, theta_response_profile)
+                    sensitivity_tables, theta_response_history,
+                    theta_response_profile)
 from .objective import Measurements, ObjectiveConfig
 from .output import write_csv
 from .solver import ConvergenceReport, IterationTrace, SolverConfig, solve
@@ -178,18 +178,8 @@ def generate_measurements(case: ManufacturedCase, mesh: MeasurementMesh,
                             dtype=float)
     else:
         params, _, _ = case.fit_params(mesh, _DATA_FIT_TERMS, _DATA_FIT_TERMS)
-        u_f = (theta_response_profile(mesh.x_interior, geom.t_final,
-                                      geom.length, params.n_x, trunc)
-               @ params.theta
-               + phi_response_profile(mesh.x_interior, geom.t_final,
-                                      geom.length, params.n_t, trunc)
-               @ params.phi)
-        u_star = (theta_response_history(geom.sensor_shifted, mesh.t_interior,
-                                         geom.length, params.n_x, trunc)
-                  @ params.theta
-                  + phi_response_history(geom.sensor_shifted, mesh.t_interior,
-                                         geom.length, params.n_t, trunc)
-                  @ params.phi)
+        u_f, u_star = sensitivity_tables(geom, mesh, _DATA_FIT_TERMS,
+                                         _DATA_FIT_TERMS, trunc).predict(params)
     if noise_level > 0.0:
         rng = np.random.default_rng(seed)
         u_f = u_f + rng.normal(0.0, noise_level * np.max(np.abs(u_f)),
@@ -284,8 +274,7 @@ def default_sweep_cells(alpha: float = 1e-6):
 
 def sweep(case: ManufacturedCase, cells, solver_cfg: SolverConfig,
           i_x: int = 100, i_t: int = 100, noise_level: float = 0.0,
-          seed: int = 42, trunc: TruncationPolicy = DEFAULT_TRUNCATION,
-          jobs: int = 1):
+          seed: int = 42, trunc: TruncationPolicy = DEFAULT_TRUNCATION):
     """Run one inversion per cell and return the reports in cell order.
 
     Per-cell failures are recorded in the report's status and do not stop
@@ -294,28 +283,21 @@ def sweep(case: ManufacturedCase, cells, solver_cfg: SolverConfig,
     observation, never a failure).
     """
     cells = list(cells)
-
-    def run_cell(cell: SweepCell) -> ErrorReport:
+    reports = []
+    for cell in cells:
         try:
             result = invert_case(
                 case.with_sensor(cell.x_star), cell.n_x, cell.n_t,
                 ObjectiveConfig(alpha=cell.alpha), solver_cfg,
                 i_x=i_x, i_t=i_t, noise_level=noise_level, seed=seed,
                 trunc=trunc)
-            return result.errors
+            reports.append(result.errors)
         except Exception as exc:  # per-cell isolation
             logger.warning("sweep cell %s failed: %s", cell, exc)
-            return ErrorReport(e_f=math.nan, e_u0=math.nan,
-                               status=f"error: {exc}", case=case.name,
-                               n_x=cell.n_x, n_t=cell.n_t,
-                               x_star=cell.x_star, alpha=cell.alpha,
-                               i_x=i_x, i_t=i_t)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(run_cell, cells))
-    else:
-        reports = [run_cell(cell) for cell in cells]
+            reports.append(ErrorReport(
+                e_f=math.nan, e_u0=math.nan, status=f"error: {exc}",
+                case=case.name, n_x=cell.n_x, n_t=cell.n_t,
+                x_star=cell.x_star, alpha=cell.alpha, i_x=i_x, i_t=i_t))
 
     for n_x, n_t in sorted({(c.n_x, c.n_t) for c in cells}):
         group = [r for r in reports

@@ -20,7 +20,6 @@ from .errors import DomainError, TruncationWarning
 __all__ = [
     "TruncationPolicy",
     "DEFAULT_TRUNCATION",
-    "Eigenvalue",
     "greens_function",
     "source_kernel",
     "sine_moment",
@@ -54,22 +53,6 @@ class TruncationPolicy:
 
 
 DEFAULT_TRUNCATION = TruncationPolicy()
-
-
-@dataclass(frozen=True)
-class Eigenvalue:
-    """Mode index n with its spatial rate n*pi/L."""
-
-    index: int
-    value: float
-
-    @classmethod
-    def for_mode(cls, index: int, length: float) -> "Eigenvalue":
-        if index < 1:
-            raise ValueError(f"mode index must be >= 1, got {index}")
-        if not length > 0.0:
-            raise DomainError(f"length must be positive, got {length}")
-        return cls(index, index * math.pi / length)
 
 
 def mode_count(amplitude: float, t: float, length: float,

@@ -1,5 +1,5 @@
 """Parametrized temperature responses, their sensitivity tables on a
-measurement mesh, and the direction responses used by the exact line search.
+measurement mesh, and pointwise evaluation of the model.
 
 The model is linear in the polynomial coefficients: the temperature at any
 point is a fixed linear functional of (phi, theta), assembled per harmonic
@@ -16,8 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import (ContractViolationError, DomainError,
-                     ShapeMismatchError, TruncationWarning)
+from .errors import DomainError, ShapeMismatchError, TruncationWarning
 from .kernels import (
     DEFAULT_TRUNCATION,
     TruncationPolicy,
@@ -35,7 +34,6 @@ __all__ = [
     "sensitivity_tables",
     "eval_u_final",
     "eval_u_interior",
-    "direction_response",
 ]
 
 
@@ -404,26 +402,3 @@ def eval_u_interior(params: PolyParams, t: float, geom: Geometry,
         x_star, [t], geom.length, params.n_t, trunc)[0]
     return float(row_theta @ params.theta + row_phi @ params.phi)
 
-
-def direction_response(direction: PolyParams, where: str, value: float,
-                       geom: Geometry,
-                       trunc: TruncationPolicy = DEFAULT_TRUNCATION) -> float:
-    """Homogeneous response of the linear model to a single-block direction.
-
-    ``where`` selects the observation: "final" evaluates the final-time
-    profile at physical x = value, "sensor" the interior history at
-    t = value.  Exactly one of the direction blocks may be nonzero; this is
-    the perturbation response used by the exact line search, not the model
-    output with the other block frozen at its current iterate.
-    """
-    phi_active = bool(np.any(direction.phi != 0.0))
-    theta_active = bool(np.any(direction.theta != 0.0))
-    if phi_active and theta_active:
-        raise ContractViolationError(
-            "direction must have at most one nonzero block"
-        )
-    if where == "final":
-        return eval_u_final(direction, value, geom, trunc)
-    if where == "sensor":
-        return eval_u_interior(direction, value, geom, trunc)
-    raise ValueError(f"where must be 'final' or 'sensor', got {where!r}")

@@ -4,15 +4,8 @@ The iteration is Fletcher-Reeves CG on the stacked coefficient vector: both
 blocks share one momentum coefficient (ratio of stacked squared gradient
 norms) and one step size, the exact minimizer of the quadratic objective
 along the combined direction.  Exact steps make every iteration nonincreasing
-in cost.
-
-The per-block variants (momentum per block, each step minimizing its own
-block's one-dimensional cost with the other block frozen) are exposed as
-:func:`fr_coefficients` and :func:`step_sizes`.  They are not used by
-:func:`solve`: with both blocks moving at once, per-block coefficients lose
-conjugacy through the cross-coupling of the two response families and the
-iteration crawls, by orders of magnitude too slowly to pass any of the
-reference reconstructions.  The stacked form restores plain CG behavior.
+in cost.  Per-block momenta and steps would lose conjugacy through the
+cross-coupling of the two response families and crawl.
 """
 
 from __future__ import annotations
@@ -34,9 +27,7 @@ __all__ = [
     "IterationTrace",
     "StationarityCheck",
     "ConvergenceReport",
-    "fr_coefficients",
-    "descent_directions",
-    "step_sizes",
+    "step_size",
     "solve",
     "stationarity_check",
 ]
@@ -162,89 +153,6 @@ def _sup_norm(grad_pair):
     return max(float(np.max(np.abs(g), initial=0.0)) for g in grad_pair)
 
 
-def fr_coefficients(grad_now, grad_prev, n: int):
-    """Fletcher-Reeves momentum per block: the ratio of squared gradient
-    norms between consecutive iterates; zero at the first iteration.
-
-    A zero previous norm against a nonzero current gradient cannot be
-    conjugated; that block restarts with zero momentum (logged).
-    """
-    if n == 0:
-        return 0.0, 0.0
-    if grad_prev is None:
-        raise ValueError("grad_prev is required when n > 0")
-    gammas = []
-    for now, prev, name in zip(grad_now, grad_prev, ("phi", "theta")):
-        prev_sq = float(np.dot(prev, prev))
-        now_sq = float(np.dot(now, now))
-        if prev_sq == 0.0:
-            if now_sq > 0.0:
-                logger.warning(
-                    "zero previous %s gradient with nonzero current one; "
-                    "restarting that block with zero momentum", name)
-            gammas.append(0.0)
-        else:
-            gammas.append(now_sq / prev_sq)
-    return tuple(gammas)
-
-
-def descent_directions(grad_now, dir_prev, gammas, n: int):
-    """Current gradients plus momentum times the previous directions.
-
-    The parameter update subtracts beta times these directions, so they are
-    aligned with the gradient and positive steps decrease the objective.
-    """
-    g_phi, g_theta = grad_now
-    if n == 0 or dir_prev is None:
-        return g_phi.copy(), g_theta.copy()
-    gamma_phi, gamma_theta = gammas
-    d_phi_prev, d_theta_prev = dir_prev
-    return g_phi + gamma_phi * d_phi_prev, g_theta + gamma_theta * d_theta_prev
-
-
-def step_sizes(params: PolyParams, dirs, meas: Measurements,
-               cfg: ObjectiveConfig, tables: SensitivityTables):
-    """Exact minimizing steps along each block direction, the other block
-    frozen.
-
-    Numerator: residual inner products with the pure direction responses
-    plus alpha times the penalty cross terms; denominator: squared direction
-    responses plus alpha times squared penalty responses.  A zero direction
-    gives step 0; a nonzero direction with zero denominator (invisible to
-    both the data and the penalty) raises DegenerateDirectionError.
-    """
-    d_phi, d_theta = dirs
-    r_f, r_s = residuals(params, meas, tables)
-    alpha = cfg.alpha
-
-    def beta_for(direction, resp_f, resp_s, pen_table, pen_now):
-        pen_resp = pen_table @ direction
-        denom = resp_f @ resp_f + resp_s @ resp_s + alpha * (pen_resp @ pen_resp)
-        if denom == 0.0:
-            if not np.any(direction != 0.0):
-                return 0.0
-            raise DegenerateDirectionError(
-                "direction is invisible to both the data and the penalty")
-        numer = -(r_f @ resp_f) - (r_s @ resp_s) + alpha * (pen_now @ pen_resp)
-        return float(numer / denom)
-
-    beta_phi = beta_for(
-        d_phi,
-        tables.final_phi @ d_phi,
-        tables.sensor_phi @ d_phi,
-        tables.penalty_t,
-        tables.penalty_t @ params.phi,
-    )
-    beta_theta = beta_for(
-        d_theta,
-        tables.final_theta @ d_theta,
-        tables.sensor_theta @ d_theta,
-        tables.penalty_x,
-        tables.penalty_x @ params.theta,
-    )
-    return beta_phi, beta_theta
-
-
 def stationarity_check(params: PolyParams, meas: Measurements,
                        cfg: ObjectiveConfig, tables: SensitivityTables,
                        n_trials: int = 20, seed: int = 20_240_817,
@@ -291,10 +199,15 @@ def stationarity_check(params: PolyParams, meas: Measurements,
     )
 
 
-def _joint_step(params: PolyParams, dirs, meas: Measurements,
-                cfg: ObjectiveConfig, tables: SensitivityTables) -> float:
+def step_size(params: PolyParams, dirs, meas: Measurements,
+              cfg: ObjectiveConfig, tables: SensitivityTables) -> float:
     """Exact minimizing step of the objective along the combined direction
-    (both blocks moving together)."""
+    (both blocks moving together); the update is ``params - step * dirs``.
+
+    A zero direction gives step 0; a nonzero direction with zero
+    denominator (invisible to both the data and the penalty) raises
+    DegenerateDirectionError.
+    """
     d_phi, d_theta = dirs
     r_f, r_s = residuals(params, meas, tables)
     resp_f = tables.final_phi @ d_phi + tables.final_theta @ d_theta
@@ -359,21 +272,25 @@ def solve(meas: Measurements, geom: Geometry, mesh: MeasurementMesh,
             and n > 0
             and n % solver_cfg.restart_period == 0
         )
-        if n == 0 or restart or dir_prev is None:
+        if n == 0 or restart:
             gamma = 0.0
         else:
             prev_sq = sum(float(g @ g) for g in grad_prev)
             now_sq = sum(float(g @ g) for g in grads)
             gamma = now_sq / prev_sq if prev_sq > 0.0 else 0.0
-        dirs = descent_directions(grads, dir_prev, (gamma, gamma), n if gamma else 0)
+        if gamma == 0.0:
+            dirs = grads
+        else:
+            dirs = (grads[0] + gamma * dir_prev[0],
+                    grads[1] + gamma * dir_prev[1])
         try:
-            beta = _joint_step(params, dirs, meas, obj_cfg, tables)
+            beta = step_size(params, dirs, meas, obj_cfg, tables)
         except DegenerateDirectionError:
             logger.warning("degenerate direction at iteration %d; "
                            "restarting with the plain gradient", n)
             gamma = 0.0
-            dirs = descent_directions(grads, None, (0.0, 0.0), 0)
-            beta = _joint_step(params, dirs, meas, obj_cfg, tables)
+            dirs = grads
+            beta = step_size(params, dirs, meas, obj_cfg, tables)
         params = PolyParams(
             phi=params.phi - beta * dirs[0],
             theta=params.theta - beta * dirs[1],

@@ -20,9 +20,8 @@ from heatsource.model import (MeasurementMesh, PolyParams,
                               sensitivity_tables)
 from heatsource.objective import (Measurements, ObjectiveConfig, cost,
                                   gradient, ridge_solve)
-from heatsource.solver import (SolverConfig, descent_directions,
-                               fr_coefficients, solve, stationarity_check,
-                               step_sizes)
+from heatsource.solver import (SolverConfig, solve, stationarity_check,
+                               step_size)
 from oracles import golden_minimize, quad_exp_moment, quad_sine_moment
 
 TR = TruncationPolicy()
@@ -178,30 +177,29 @@ def test_criterion_4_step_sizes_match_golden_section(small_problem):
     for _ in range(20):
         params = PolyParams(phi=rng.standard_normal(5) * scale_phi,
                             theta=rng.standard_normal(6) * scale_theta)
-        g_prev = gradient(params, meas, cfg, tables)
-        d_prev = descent_directions(g_prev, None, (0.0, 0.0), 0)
-        betas = step_sizes(params, d_prev, meas, cfg, tables)
-        params = PolyParams(phi=params.phi - betas[0] * d_prev[0],
-                            theta=params.theta - betas[1] * d_prev[1])
-        g_now = gradient(params, meas, cfg, tables)
-        dirs = descent_directions(g_now, d_prev,
-                                  fr_coefficients(g_now, g_prev, 1), 1)
-        beta_phi, beta_theta = step_sizes(params, dirs, meas, cfg, tables)
+        # the solver's first two directions: the gradient, then the
+        # Fletcher-Reeves conjugate direction
+        grads = gradient(params, meas, cfg, tables)
+        dirs = grads
+        for n in range(2):
+            if n:
+                g_prev, grads = grads, gradient(params, meas, cfg, tables)
+                gamma = (sum(float(g @ g) for g in grads)
+                         / sum(float(g @ g) for g in g_prev))
+                dirs = (grads[0] + gamma * dirs[0], grads[1] + gamma * dirs[1])
+            beta = step_size(params, dirs, meas, cfg, tables)
 
-        def along_phi(s):
-            return cost(PolyParams(phi=params.phi - s * dirs[0],
-                                   theta=params.theta), meas, cfg, tables)
+            def along(s):
+                return cost(PolyParams(phi=params.phi - s * dirs[0],
+                                       theta=params.theta - s * dirs[1]),
+                            meas, cfg, tables)
 
-        def along_theta(s):
-            return cost(PolyParams(phi=params.phi,
-                                   theta=params.theta - s * dirs[1]),
-                        meas, cfg, tables)
-
-        for beta, line in ((beta_phi, along_phi), (beta_theta, along_theta)):
             lo, hi = sorted((0.0, 2.0 * beta))
             span = hi - lo if hi > lo else 1.0
-            found = golden_minimize(line, lo, hi, tol=1e-9 * span)
+            found = golden_minimize(along, lo, hi, tol=1e-9 * span)
             worst = max(worst, abs(found - beta))
+            params = PolyParams(phi=params.phi - beta * dirs[0],
+                                theta=params.theta - beta * dirs[1])
     elapsed = time.perf_counter() - start
     report(4, "line-search steps match the golden-section oracle to 1e-8",
            worst < 1e-8 and elapsed < 5.0,

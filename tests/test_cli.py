@@ -1,14 +1,18 @@
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heatsource import cli
 from heatsource.cli import (EXIT_DIVERGED, EXIT_INVALID_CONFIG,
                             EXIT_IO_FAILURE, EXIT_MISSING_FILE,
                             EXIT_NOT_CONVERGED, EXIT_OK, EXIT_PARSE_ERROR,
-                            ConfigFileMissingError, ConfigParseError,
-                            ConfigValueError, config_echo,
-                            dispatch, main, parse_config, parse_config_text)
+                            ConfigError, ConfigFileMissingError,
+                            ConfigParseError, ConfigValueError, RunConfig,
+                            config_echo, dispatch, main, parse_config,
+                            parse_config_text)
 from heatsource.errors import DivergenceError
 
 
@@ -251,3 +255,70 @@ class TestMain:
         assert code == EXIT_OK
         header = (tmp_path / "flagged_final_by_initial.csv").read_text().splitlines()[0]
         assert len(header.split(",")) == 4
+
+    @pytest.mark.parametrize("argv, code", [
+        (["sweep", "--sweep_alpha", "abc"], EXIT_INVALID_CONFIG),
+        (["sweep", "--sweep_n", "0x5"], EXIT_INVALID_CONFIG),
+        (["sweep", "--sweep_alpha", "-1"], EXIT_INVALID_CONFIG),
+        (["sweep", "--sweep_xstar", "99"], EXIT_INVALID_CONFIG),
+        (["invert", "--config", "{tmp}"], EXIT_MISSING_FILE),
+        (["invert", "--config", "{tmp}/latin1.cfg"], EXIT_PARSE_ERROR),
+        (["invert", "--noise_level", "inf"], EXIT_INVALID_CONFIG),
+        (["invert", "--seed", "-1", "--noise_level", "0.01"],
+         EXIT_INVALID_CONFIG),
+        (["invert", "--alpha", "inf"], EXIT_INVALID_CONFIG),
+        (["forward", "--phi", "nan"], EXIT_INVALID_CONFIG),
+        (["forward", "--theta", "1,inf"], EXIT_INVALID_CONFIG),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+    def test_bad_input_exit_code(self, tmp_path, capsys, argv, code):
+        (tmp_path / "latin1.cfg").write_bytes(
+            b"command=invert\nrun_id=caf\xe9\n")
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        small = ["--i_x", "20", "--i_t", "20", "--max_iters", "5",
+                 "--outdir", str(tmp_path / "out")]
+        assert main(argv + small) == code
+        assert "Traceback" not in capsys.readouterr().err
+
+
+_KEYS = [f.name for f in fields(RunConfig)] + ["bogus", ""]
+_VALUES = st.one_of(
+    st.text(max_size=12),
+    st.floats().map(repr),
+    st.integers(-3, 20).map(str),
+    st.sampled_from(["sweep", "forward", "none", "6x5,0x2", "2.97", "abc",
+                     "nan", "-1", "99"]),
+)
+_PAIRS = st.builds("{}={}".format, st.sampled_from(_KEYS), _VALUES)
+# A valid command with a few pairs gets past the early checks to the range,
+# domain and sweep-grid checks; free lines exercise the line parser.
+_CONFIG_TEXT = st.builds(
+    "command={}\n{}".format,
+    st.sampled_from(cli.COMMANDS),
+    st.lists(_PAIRS, max_size=3).map("\n".join),
+) | st.lists(_PAIRS | st.text(max_size=20), max_size=8).map("\n".join)
+
+
+def _parses_or_config_error(parse):
+    try:
+        parse()
+    except ConfigError as exc:
+        assert exc.exit_code in (EXIT_INVALID_CONFIG, EXIT_MISSING_FILE,
+                                 EXIT_PARSE_ERROR)
+
+
+@settings(database=None, deadline=None, max_examples=500)
+@given(_CONFIG_TEXT)
+def test_any_config_text_parses_or_raises_config_error(text):
+    _parses_or_config_error(lambda: parse_config_text(text))
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "run.cfg"
+
+
+@settings(database=None, deadline=None)
+@given(st.one_of(st.binary(max_size=200), _CONFIG_TEXT.map(str.encode)))
+def test_any_config_file_parses_or_raises_config_error(config_path, data):
+    config_path.write_bytes(data)
+    _parses_or_config_error(lambda: parse_config(config_path))

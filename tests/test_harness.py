@@ -215,16 +215,6 @@ class TestSweep:
         assert math.isnan(reports[0].e_f)
         assert not reports[1].status.startswith("error:")
 
-    def test_parallel_matches_serial(self, example1):
-        cells = [SweepCell(n_x=4, n_t=3, x_star=x, alpha=1e-6)
-                 for x in (-0.17, 0.99, 2.15)]
-        serial = sweep(example1, cells, SolverConfig(max_iters=200),
-                       i_x=30, i_t=30)
-        parallel = sweep(example1, cells, SolverConfig(max_iters=200),
-                         i_x=30, i_t=30, jobs=3)
-        for a, b in zip(serial, parallel):
-            assert a.e_f == b.e_f and a.e_u0 == b.e_u0
-
     def test_sensor_trend_is_logged_not_failed(self, example1, caplog):
         import logging
 

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from heatsource.errors import DomainError, TruncationWarning
-from heatsource.kernels import (DEFAULT_TRUNCATION, Eigenvalue,
-                                TruncationPolicy, exp_moment,
-                                exp_moment_stack, greens_function,
+from heatsource.kernels import (DEFAULT_TRUNCATION, TruncationPolicy,
+                                exp_moment, exp_moment_stack, greens_function,
                                 sine_moment, sine_moment_stack, source_kernel)
 from oracles import (mp_exp_moment, mp_sine_moment, quad_exp_moment,
                      quad_sine_moment, reference_green)
@@ -46,20 +45,6 @@ class TestTruncationPolicy:
             assert bound(n) <= tol * (1.0 + 1e-9)
             if n > 1:
                 assert bound(n - 1) > tol * (1.0 - 1e-9)
-
-
-class TestEigenvalue:
-    def test_exact_rate(self):
-        for n in (1, 2, 17, 500):
-            ev = Eigenvalue.for_mode(n, L)
-            assert ev.index == n
-            assert ev.value == n * math.pi / L
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            Eigenvalue.for_mode(0, L)
-        with pytest.raises(DomainError):
-            Eigenvalue.for_mode(1, -1.0)
 
 
 class TestGreensFunction:

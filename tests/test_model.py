@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from heatsource.errors import (ContractViolationError, DomainError,
-                               ShapeMismatchError)
+from heatsource.errors import DomainError, ShapeMismatchError
 from heatsource.kernels import TruncationPolicy
 from heatsource.model import (Geometry, MeasurementMesh, PolyParams,
-                              direction_response, eval_u_final,
-                              eval_u_interior, phi_response_history,
+                              eval_u_final, eval_u_interior,
+                              phi_response_history,
                               phi_response_profile, sensitivity_tables,
                               theta_response_history, theta_response_profile)
 
@@ -296,10 +295,13 @@ class TestSensitivityTables:
 
 
 class TestDirectionResponse:
+    """The linear model evaluated on a coefficient direction gives the
+    homogeneous perturbation response."""
+
     def test_zero_direction(self, geom):
         d = PolyParams.zeros(5, 4)
-        assert direction_response(d, "final", 1.0, geom, TR) == 0.0
-        assert direction_response(d, "sensor", 0.5, geom, TR) == 0.0
+        assert eval_u_final(d, 1.0, geom, TR) == 0.0
+        assert eval_u_interior(d, 0.5, geom, TR) == 0.0
 
     def test_unit_vector_equals_sensitivity(self, geom, mesh):
         tables = sensitivity_tables(geom, mesh, 6, 5, TR)
@@ -307,7 +309,7 @@ class TestDirectionResponse:
         d.phi[2] = 1.0
         i = 44
         x_phys = float(geom.to_physical(mesh.x_interior[i]))
-        got = direction_response(d, "final", x_phys, geom, TR)
+        got = eval_u_final(d, x_phys, geom, TR)
         assert got == pytest.approx(tables.final_phi[i, 2], rel=1e-12)
 
     def test_line_update_identity(self, geom):
@@ -321,7 +323,7 @@ class TestDirectionResponse:
         x = 1.9
         lhs = eval_u_final(moved, x, geom, TR)
         rhs = (eval_u_final(params, x, geom, TR)
-               - beta * direction_response(d, "final", x, geom, TR))
+               - beta * eval_u_final(d, x, geom, TR))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13)
 
     def test_perturbation_solution_structure(self, geom, mesh):
@@ -341,13 +343,3 @@ class TestDirectionResponse:
         v_s = tables.sensor_theta @ diff.theta + tables.sensor_phi @ diff.phi
         np.testing.assert_allclose(u_f_p - u_f_q, v_f, rtol=1e-9, atol=1e-10)
         np.testing.assert_allclose(u_s_p - u_s_q, v_s, rtol=1e-9, atol=1e-10)
-
-    def test_both_blocks_nonzero_rejected(self, geom):
-        d = PolyParams(phi=np.ones(3), theta=np.ones(4))
-        with pytest.raises(ContractViolationError):
-            direction_response(d, "final", 1.0, geom, TR)
-
-    def test_bad_selector(self, geom):
-        d = PolyParams.zeros(3, 3)
-        with pytest.raises(ValueError):
-            direction_response(d, "edge", 1.0, geom, TR)

@@ -1,4 +1,3 @@
-import logging
 import math
 
 import numpy as np
@@ -10,9 +9,8 @@ from heatsource.model import (Geometry, MeasurementMesh, PolyParams,
                               sensitivity_tables)
 from heatsource.objective import (Measurements, ObjectiveConfig, cost,
                                   gradient, ridge_solve)
-from heatsource.solver import (IterationTrace, SolverConfig,
-                               descent_directions, fr_coefficients, solve,
-                               stationarity_check, step_sizes)
+from heatsource.solver import (IterationTrace, SolverConfig, solve,
+                               stationarity_check, step_size)
 from oracles import golden_minimize
 
 TR = TruncationPolicy()
@@ -44,61 +42,66 @@ def example_problem():
     return geom, mesh, tables, meas
 
 
+def _short_solve(problem, **solver_kwargs):
+    geom, mesh, tables, meas = problem
+    cfg = ObjectiveConfig(alpha=1e-6)
+    return solve(meas, geom, mesh, 6, 5, cfg,
+                 SolverConfig(epsilon=1e-30, **solver_kwargs), tables=tables)
+
+
 class TestFrCoefficients:
-    def test_first_iteration_zero(self):
-        g = (np.array([1.0, 2.0]), np.array([3.0]))
-        assert fr_coefficients(g, None, 0) == (0.0, 0.0)
+    """The Fletcher-Reeves momentum that solve records in its trace."""
 
-    def test_equal_gradients(self):
-        g = (np.array([1.0, 2.0]), np.array([3.0, -1.0]))
-        assert fr_coefficients(g, g, 1) == (1.0, 1.0)
+    def test_first_iteration_zero(self, example_problem):
+        _, trace, _ = _short_solve(example_problem, max_iters=6)
+        assert trace.gamma_phi[1] == 0.0 and trace.gamma_theta[1] == 0.0
 
-    def test_norm_squared_ratio(self):
-        prev = (np.array([1.0, 2.0]), np.array([1.0]))
-        now = (2.0 * prev[0], 3.0 * prev[1])
-        gamma_phi, gamma_theta = fr_coefficients(now, prev, 4)
-        assert gamma_phi == pytest.approx(4.0)
-        assert gamma_theta == pytest.approx(9.0)
+    def test_norm_squared_ratio(self, example_problem):
+        # row n holds the momentum of update n: the stacked squared
+        # gradient norm before it over the one before the previous update
+        _, trace, _ = _short_solve(example_problem, max_iters=6)
+        assert len(trace) == 7
+        sq = [a * a + b * b
+              for a, b in zip(trace.grad_phi_norm, trace.grad_theta_norm)]
+        for n in range(2, len(trace)):
+            assert trace.gamma_phi[n] == pytest.approx(sq[n - 1] / sq[n - 2],
+                                                       rel=1e-12)
+            assert trace.gamma_theta[n] == trace.gamma_phi[n]
 
-    def test_zero_previous_guard(self, caplog):
-        prev = (np.zeros(2), np.array([1.0]))
-        now = (np.array([1.0, 0.0]), np.array([2.0]))
-        with caplog.at_level(logging.WARNING, logger="heatsource.solver"):
-            gamma_phi, gamma_theta = fr_coefficients(now, prev, 3)
-        assert gamma_phi == 0.0
-        assert gamma_theta == pytest.approx(4.0)
-        assert any("zero previous" in r.message for r in caplog.records)
 
-    def test_requires_previous(self):
-        g = (np.ones(2), np.ones(2))
-        with pytest.raises(ValueError):
-            fr_coefficients(g, None, 1)
+def _steepest_descent(problem, n_steps):
+    _, _, tables, meas = problem
+    cfg = ObjectiveConfig(alpha=1e-6)
+    params = PolyParams.zeros(6, 5)
+    for _ in range(n_steps):
+        g = gradient(params, meas, cfg, tables)
+        beta = step_size(params, g, meas, cfg, tables)
+        params = PolyParams(phi=params.phi - beta * g[0],
+                            theta=params.theta - beta * g[1])
+    return params
 
 
 class TestDescentDirections:
-    def test_first_iteration_is_gradient(self):
-        g = (np.array([1.0, -2.0]), np.array([0.5]))
-        d_phi, d_theta = descent_directions(g, None, (0.0, 0.0), 0)
-        np.testing.assert_array_equal(d_phi, g[0])
-        np.testing.assert_array_equal(d_theta, g[1])
+    """The search direction solve takes when the momentum is zero."""
 
-    def test_zero_momentum_restart(self):
-        g = (np.array([1.0]), np.array([2.0]))
-        prev = (np.array([5.0]), np.array([5.0]))
-        d_phi, d_theta = descent_directions(g, prev, (0.0, 0.0), 3)
-        np.testing.assert_array_equal(d_phi, g[0])
-        np.testing.assert_array_equal(d_theta, g[1])
+    def test_first_iteration_is_gradient(self, example_problem):
+        params, _, _ = _short_solve(example_problem, max_iters=1)
+        expected = _steepest_descent(example_problem, 1)
+        np.testing.assert_array_equal(params.phi, expected.phi)
+        np.testing.assert_array_equal(params.theta, expected.theta)
 
-    def test_unit_momentum_doubles_gradient(self):
-        g = (np.array([1.0, 1.0]), np.array([2.0]))
-        d_phi, d_theta = descent_directions(g, g, (1.0, 1.0), 2)
-        np.testing.assert_allclose(d_phi, 2.0 * g[0])
-        np.testing.assert_allclose(d_theta, 2.0 * g[1])
+    def test_zero_momentum_restart(self, example_problem):
+        params, trace, _ = _short_solve(example_problem, max_iters=3,
+                                        restart_period=1)
+        assert trace.gamma_phi == [0.0] * 4
+        expected = _steepest_descent(example_problem, 3)
+        np.testing.assert_array_equal(params.phi, expected.phi)
+        np.testing.assert_array_equal(params.theta, expected.theta)
 
 
 def _solver_states(tables, meas, cfg, n_states, seed):
-    """Realistic line-search states: a random iterate, one exact joint step,
-    then fresh per-block directions with momentum from the two gradients."""
+    """Realistic line-search states: a random iterate, one exact step along
+    the gradient, then the Fletcher-Reeves direction the solver takes next."""
     rng = np.random.default_rng(seed)
     scale_theta = 1.0 / np.abs(tables.final_theta).max(axis=0)
     scale_phi = 1.0 / np.abs(tables.final_phi).max(axis=0)
@@ -109,15 +112,20 @@ def _solver_states(tables, meas, cfg, n_states, seed):
             theta=rng.standard_normal(tables.n_x) * scale_theta,
         )
         g_prev = gradient(params, meas, cfg, tables)
-        d_prev = descent_directions(g_prev, None, (0.0, 0.0), 0)
-        beta_prev = step_sizes(params, d_prev, meas, cfg, tables)
-        params = PolyParams(phi=params.phi - beta_prev[0] * d_prev[0],
-                            theta=params.theta - beta_prev[1] * d_prev[1])
+        beta_prev = step_size(params, g_prev, meas, cfg, tables)
+        params = PolyParams(phi=params.phi - beta_prev * g_prev[0],
+                            theta=params.theta - beta_prev * g_prev[1])
         g_now = gradient(params, meas, cfg, tables)
-        gammas = fr_coefficients(g_now, g_prev, 1)
-        dirs = descent_directions(g_now, d_prev, gammas, 1)
+        gamma = (sum(float(g @ g) for g in g_now)
+                 / sum(float(g @ g) for g in g_prev))
+        dirs = (g_now[0] + gamma * g_prev[0], g_now[1] + gamma * g_prev[1])
         states.append((params, dirs))
     return states
+
+
+def _moved(params, dirs, s):
+    return PolyParams(phi=params.phi - s * dirs[0],
+                      theta=params.theta - s * dirs[1])
 
 
 class TestStepSizes:
@@ -126,60 +134,39 @@ class TestStepSizes:
         cfg = ObjectiveConfig(alpha=1e-6)
         states = _solver_states(tables, meas, cfg, 20, seed=2024)
         for params, dirs in states:
-            beta_phi, beta_theta = step_sizes(params, dirs, meas, cfg, tables)
+            beta = step_size(params, dirs, meas, cfg, tables)
 
-            def cost_along_phi(s):
-                moved = PolyParams(phi=params.phi - s * dirs[0],
-                                   theta=params.theta)
-                return cost(moved, meas, cfg, tables)
+            def cost_along(s):
+                return cost(_moved(params, dirs, s), meas, cfg, tables)
 
-            def cost_along_theta(s):
-                moved = PolyParams(phi=params.phi,
-                                   theta=params.theta - s * dirs[1])
-                return cost(moved, meas, cfg, tables)
-
-            for beta, line in ((beta_phi, cost_along_phi),
-                               (beta_theta, cost_along_theta)):
-                lo, hi = sorted((0.0, 2.0 * beta))
-                span = hi - lo if hi > lo else 1.0
-                found = golden_minimize(line, lo, hi, tol=1e-9 * span)
-                assert abs(found - beta) < 1e-8
+            lo, hi = sorted((0.0, 2.0 * beta))
+            span = hi - lo if hi > lo else 1.0
+            found = golden_minimize(cost_along, lo, hi, tol=1e-9 * span)
+            assert abs(found - beta) < 1e-8
 
     def test_zero_residual_gives_zero_steps(self, poly_problem):
         _, _, tables, truth, meas = poly_problem
         cfg = ObjectiveConfig(alpha=0.0)
         dirs = (np.array([1.0, -0.5]), np.array([0.3, 0.0, 1.0]))
-        beta_phi, beta_theta = step_sizes(truth, dirs, meas, cfg, tables)
-        assert beta_phi == pytest.approx(0.0, abs=1e-12)
-        assert beta_theta == pytest.approx(0.0, abs=1e-12)
+        beta = step_size(truth, dirs, meas, cfg, tables)
+        assert beta == pytest.approx(0.0, abs=1e-12)
 
     def test_sampled_optimality(self, example_problem):
         _, _, tables, meas = example_problem
         cfg = ObjectiveConfig(alpha=1e-6)
         (params, dirs), = _solver_states(tables, meas, cfg, 1, seed=7)
-        beta_phi, beta_theta = step_sizes(params, dirs, meas, cfg, tables)
+        beta = step_size(params, dirs, meas, cfg, tables)
         rng = np.random.default_rng(9)
-        best_phi = cost(PolyParams(phi=params.phi - beta_phi * dirs[0],
-                                   theta=params.theta), meas, cfg, tables)
-        best_theta = cost(PolyParams(phi=params.phi,
-                                     theta=params.theta - beta_theta * dirs[1]),
-                          meas, cfg, tables)
+        best = cost(_moved(params, dirs, beta), meas, cfg, tables)
         for _ in range(100):
-            s = rng.uniform(0.0, 2.0 * beta_phi)
-            trial = cost(PolyParams(phi=params.phi - s * dirs[0],
-                                    theta=params.theta), meas, cfg, tables)
-            assert best_phi <= trial * (1.0 + 1e-12) + 1e-15
-            s = rng.uniform(0.0, 2.0 * beta_theta)
-            trial = cost(PolyParams(phi=params.phi,
-                                    theta=params.theta - s * dirs[1]),
-                         meas, cfg, tables)
-            assert best_theta <= trial * (1.0 + 1e-12) + 1e-15
+            s = rng.uniform(0.0, 2.0 * beta)
+            trial = cost(_moved(params, dirs, s), meas, cfg, tables)
+            assert best <= trial * (1.0 + 1e-12) + 1e-15
 
     def test_zero_direction_gives_zero_step(self, poly_problem):
         _, _, tables, truth, meas = poly_problem
         dirs = (np.zeros(2), np.zeros(3))
-        betas = step_sizes(truth, dirs, meas, ObjectiveConfig(0.0), tables)
-        assert betas == (0.0, 0.0)
+        assert step_size(truth, dirs, meas, ObjectiveConfig(0.0), tables) == 0.0
 
     def test_invisible_direction_raises(self, poly_problem):
         # A direction orthogonal to every response and penalty row can only
@@ -195,7 +182,7 @@ class TestStepSizes:
         )
         dirs = (np.array([1.0, 0.0]), np.zeros(3))
         with pytest.raises(DegenerateDirectionError):
-            step_sizes(truth, dirs, meas, ObjectiveConfig(alpha=1e-6), blind)
+            step_size(truth, dirs, meas, ObjectiveConfig(alpha=1e-6), blind)
 
 
 class TestSolve:
