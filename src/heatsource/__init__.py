@@ -22,7 +22,7 @@ from .model import (Geometry, MeasurementMesh, PolyParams, SensitivityTables,
 from .objective import (Measurements, ObjectiveConfig, cost, gradient,
                         ridge_solve)
 from .solver import (ConvergenceReport, IterationTrace, SolverConfig,
-                     StationarityCheck, solve, stationarity_check, step_size)
+                     StationarityCheck, solve, stationarity_check)
 
 __version__ = "0.1.0"
 
@@ -70,6 +70,5 @@ __all__ = [
     "solve",
     "source_kernel",
     "stationarity_check",
-    "step_size",
     "sweep",
 ]

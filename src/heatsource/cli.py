@@ -14,6 +14,7 @@ import argparse
 import logging
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
@@ -22,9 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DivergenceError, HeatSourceError
-from .harness import (ErrorReport, SweepCell, emit_sensitivity_data,
-                      get_case, invert_case, sensitivity_demo_geometry,
-                      sweep)
+from .harness import (ErrorReport, SweepCell, default_sensors,
+                      emit_sensitivity_data, get_case, invert_case,
+                      sensitivity_demo_geometry, sweep)
 from .kernels import TruncationPolicy
 from .model import MeasurementMesh, PolyParams, sensitivity_tables
 from .objective import ObjectiveConfig
@@ -320,9 +321,12 @@ def _build_config(raw_values: dict) -> RunConfig:
         _check_range(key, getattr(cfg, key), key)
 
     try:
-        get_case(cfg.case)
+        case = get_case(cfg.case)
     except KeyError as exc:
         raise ConfigValueError(str(exc)) from None
+    if "sweep_xstar" not in parsed:
+        cfg = replace(cfg, sweep_xstar=",".join(
+            repr(x) for x in default_sensors(case)))
     if cfg.x_star is not None:
         _check_x_star(cfg.case, cfg.x_star, "x_star")
 
@@ -505,6 +509,25 @@ def dispatch(cfg: RunConfig) -> int:
         return EXIT_IO_FAILURE
 
 
+# A token that starts like a negative number ("-1.34,2.97", "-.5") is a
+# value: no flag starts with a digit.
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _attach_negative_values(argv):
+    """Rewrite ``--key -1.34,2.97`` as ``--key=-1.34,2.97``.  argparse
+    takes a token for a value only when it is a single negative number, so
+    a negative comma list after a flag would read as an unknown option."""
+    out = []
+    for token in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and _NEGATIVE_VALUE.match(token)):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     """Console entry point."""
     parser = argparse.ArgumentParser(
@@ -520,7 +543,8 @@ def main(argv=None) -> int:
             continue
         parser.add_argument(f"--{f.name}", dest=f.name, default=None,
                             metavar="VALUE")
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(
+        sys.argv[1:] if argv is None else argv))
     logging.basicConfig(level=logging.INFO, stream=sys.stderr,
                         format="%(levelname)s %(name)s: %(message)s")
     overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)

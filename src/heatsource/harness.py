@@ -14,9 +14,9 @@ from numpy.polynomial import polynomial as npoly
 
 from .kernels import DEFAULT_TRUNCATION, TruncationPolicy
 from .model import (Geometry, MeasurementMesh, PolyParams,
-                    phi_response_history, phi_response_profile,
-                    sensitivity_tables, theta_response_history,
-                    theta_response_profile)
+                    SensitivityTables, phi_response_history,
+                    phi_response_profile, sensitivity_tables,
+                    theta_response_history, theta_response_profile)
 from .objective import Measurements, ObjectiveConfig
 from .output import write_csv
 from .solver import ConvergenceReport, IterationTrace, SolverConfig, solve
@@ -33,6 +33,7 @@ __all__ = [
     "invert_case",
     "sweep",
     "default_sweep_cells",
+    "default_sensors",
     "emit_sensitivity_data",
     "sensitivity_demo_geometry",
 ]
@@ -228,14 +229,20 @@ def invert_case(case: ManufacturedCase, n_x: int, n_t: int,
                 obj_cfg: ObjectiveConfig, solver_cfg: SolverConfig,
                 i_x: int = 100, i_t: int = 100, noise_level: float = 0.0,
                 seed: int = 42,
-                trunc: TruncationPolicy = DEFAULT_TRUNCATION
+                trunc: TruncationPolicy = DEFAULT_TRUNCATION,
+                tables: SensitivityTables | None = None
                 ) -> InversionResult:
-    """Generate data for the case, run the inversion, and score it."""
+    """Generate data for the case, run the inversion, and score it.
+
+    ``tables``, when given, must have been built for this case's geometry
+    on the regular ``i_x`` x ``i_t`` mesh with ``n_x``, ``n_t`` and
+    ``trunc``; otherwise the solve builds them.
+    """
     geom = case.geometry
     mesh = MeasurementMesh.regular(geom, i_x, i_t)
     meas = generate_measurements(case, mesh, noise_level, seed, trunc)
     params, trace, report = solve(meas, geom, mesh, n_x, n_t, obj_cfg,
-                                  solver_cfg, trunc)
+                                  solver_cfg, trunc, tables=tables)
     errors = rmse_report(case, params, mesh)
     _, fit_f, fit_u0 = case.fit_params(mesh, n_x, n_t)
     errors.iterations = report.iterations
@@ -261,12 +268,26 @@ class SweepCell:
     alpha: float
 
 
+# Sensor positions of the reference table, on example1's rod.
+REFERENCE_SENSORS = (-1.34, -0.17, 0.99, 2.15, 2.97)
+
+
+def default_sensors(case: ManufacturedCase) -> tuple:
+    """Sensor positions of a case's default sweep: the reference positions
+    when they all lie inside the case's rod, else the case's own sensor."""
+    geom = case.geometry
+    if all(geom.offset < x < geom.offset + geom.length
+           for x in REFERENCE_SENSORS):
+        return REFERENCE_SENSORS
+    return (geom.sensor,)
+
+
 def default_sweep_cells(alpha: float = 1e-6):
     """The ten default cells: two coefficient counts crossed with the five
     reference sensor positions."""
     cells = []
     for n_x, n_t in ((6, 5), (12, 9)):
-        for x_star in (-1.34, -0.17, 0.99, 2.15, 2.97):
+        for x_star in REFERENCE_SENSORS:
             cells.append(SweepCell(n_x=n_x, n_t=n_t, x_star=x_star,
                                    alpha=alpha))
     return cells
@@ -277,6 +298,7 @@ def sweep(case: ManufacturedCase, cells, solver_cfg: SolverConfig,
           seed: int = 42, trunc: TruncationPolicy = DEFAULT_TRUNCATION):
     """Run one inversion per cell and return the reports in cell order.
 
+    Cells that differ only in alpha share one set of response tables.
     Per-cell failures are recorded in the report's status and do not stop
     the sweep.  After the run, the sensor-position trend of the initial-
     profile error is checked per coefficient-count group and logged (soft
@@ -284,13 +306,21 @@ def sweep(case: ManufacturedCase, cells, solver_cfg: SolverConfig,
     """
     cells = list(cells)
     reports = []
+    tables = {}  # (x_star, n_x, n_t) -> SensitivityTables
     for cell in cells:
         try:
+            cell_case = case.with_sensor(cell.x_star)
+            key = (cell.x_star, cell.n_x, cell.n_t)
+            if key not in tables:
+                geom = cell_case.geometry
+                tables[key] = sensitivity_tables(
+                    geom, MeasurementMesh.regular(geom, i_x, i_t),
+                    cell.n_x, cell.n_t, trunc)
             result = invert_case(
-                case.with_sensor(cell.x_star), cell.n_x, cell.n_t,
+                cell_case, cell.n_x, cell.n_t,
                 ObjectiveConfig(alpha=cell.alpha), solver_cfg,
                 i_x=i_x, i_t=i_t, noise_level=noise_level, seed=seed,
-                trunc=trunc)
+                trunc=trunc, tables=tables[key])
             reports.append(result.errors)
         except Exception as exc:  # per-cell isolation
             logger.warning("sweep cell %s failed: %s", cell, exc)

@@ -23,6 +23,7 @@ __all__ = [
     "cost",
     "gradient",
     "ridge_solve",
+    "stacked_system",
 ]
 
 
@@ -97,6 +98,30 @@ def gradient(params: PolyParams, meas: Measurements, cfg: ObjectiveConfig,
     return g_phi, g_theta
 
 
+def stacked_system(meas: Measurements, cfg: ObjectiveConfig,
+                   tables: SensitivityTables):
+    """The objective as one least-squares system ``|rhs - M x|^2``.
+
+    ``M`` stacks the design ``[final_theta, final_phi; sensor_theta,
+    sensor_phi]`` over ``sqrt(alpha)`` times the block-diagonal penalty, and
+    ``x = [theta; phi]``.  Returns ``(M, rhs)``.
+    """
+    meas.check_against(tables)
+    n_x = tables.n_x
+    design = np.block([
+        [tables.final_theta, tables.final_phi],
+        [tables.sensor_theta, tables.sensor_phi],
+    ])
+    root_alpha = np.sqrt(cfg.alpha)
+    pen = np.zeros((tables.penalty_x.shape[0] + tables.penalty_t.shape[0],
+                    n_x + tables.n_t))
+    pen[: tables.penalty_x.shape[0], :n_x] = root_alpha * tables.penalty_x
+    pen[tables.penalty_x.shape[0]:, n_x:] = root_alpha * tables.penalty_t
+    stacked = np.vstack([design, pen])
+    rhs = np.concatenate([meas.u_f, meas.u_star, np.zeros(pen.shape[0])])
+    return stacked, rhs
+
+
 def ridge_solve(meas: Measurements, cfg: ObjectiveConfig,
                 tables: SensitivityTables) -> PolyParams:
     """Exact global minimizer of the objective by a dense least-squares
@@ -106,19 +131,8 @@ def ridge_solve(meas: Measurements, cfg: ObjectiveConfig,
     the design rather than its square.  Raises SingularSystemError when
     alpha = 0 and the design is rank deficient.
     """
-    meas.check_against(tables)
     n_x, n_t = tables.n_x, tables.n_t
-    design = np.block([
-        [tables.final_theta, tables.final_phi],
-        [tables.sensor_theta, tables.sensor_phi],
-    ])
-    root_alpha = np.sqrt(cfg.alpha)
-    pen = np.zeros((tables.penalty_x.shape[0] + tables.penalty_t.shape[0],
-                    n_x + n_t))
-    pen[: tables.penalty_x.shape[0], :n_x] = root_alpha * tables.penalty_x
-    pen[tables.penalty_x.shape[0]:, n_x:] = root_alpha * tables.penalty_t
-    stacked = np.vstack([design, pen])
-    rhs = np.concatenate([meas.u_f, meas.u_star, np.zeros(pen.shape[0])])
+    stacked, rhs = stacked_system(meas, cfg, tables)
     solution, _, rank, _ = np.linalg.lstsq(stacked, rhs, rcond=None)
     if cfg.alpha == 0.0 and rank < n_x + n_t:
         raise SingularSystemError(

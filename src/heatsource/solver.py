@@ -1,10 +1,12 @@
 """Conjugate-gradient minimizer for the regularized inversion.
 
-The iteration is Fletcher-Reeves CG on the stacked coefficient vector: both
-blocks share one momentum coefficient (ratio of stacked squared gradient
-norms) and one step size, the exact minimizer of the quadratic objective
-along the combined direction.  Exact steps make every iteration nonincreasing
-in cost.  Per-block momenta and steps would lose conjugacy through the
+The iteration is Fletcher-Reeves CG on the stacked coefficient vector in
+CGLS form (Hestenes & Stiefel 1952; Paige & Saunders, LSQR, 1982): the
+objective is the least-squares misfit of one stacked system, both blocks
+share one momentum coefficient (ratio of stacked squared gradient norms)
+and one step size, the exact minimizer of the quadratic objective along the
+combined direction.  Exact steps make every iteration nonincreasing in
+cost.  Per-block momenta and steps would lose conjugacy through the
 cross-coupling of the two response families and crawl.
 """
 
@@ -20,14 +22,14 @@ from .errors import DegenerateDirectionError, DivergenceError
 from .kernels import DEFAULT_TRUNCATION, TruncationPolicy
 from .model import (Geometry, MeasurementMesh, PolyParams, SensitivityTables,
                     sensitivity_tables)
-from .objective import Measurements, ObjectiveConfig, cost, gradient, residuals
+from .objective import (Measurements, ObjectiveConfig, residuals,
+                        stacked_system)
 
 __all__ = [
     "SolverConfig",
     "IterationTrace",
     "StationarityCheck",
     "ConvergenceReport",
-    "step_size",
     "solve",
     "stationarity_check",
 ]
@@ -144,15 +146,6 @@ class ConvergenceReport:
         return self.status == "converged"
 
 
-def _block_norms(grad_pair):
-    g_phi, g_theta = grad_pair
-    return float(np.linalg.norm(g_phi)), float(np.linalg.norm(g_theta))
-
-
-def _sup_norm(grad_pair):
-    return max(float(np.max(np.abs(g), initial=0.0)) for g in grad_pair)
-
-
 def stationarity_check(params: PolyParams, meas: Measurements,
                        cfg: ObjectiveConfig, tables: SensitivityTables,
                        n_trials: int = 20, seed: int = 20_240_817,
@@ -199,34 +192,6 @@ def stationarity_check(params: PolyParams, meas: Measurements,
     )
 
 
-def step_size(params: PolyParams, dirs, meas: Measurements,
-              cfg: ObjectiveConfig, tables: SensitivityTables) -> float:
-    """Exact minimizing step of the objective along the combined direction
-    (both blocks moving together); the update is ``params - step * dirs``.
-
-    A zero direction gives step 0; a nonzero direction with zero
-    denominator (invisible to both the data and the penalty) raises
-    DegenerateDirectionError.
-    """
-    d_phi, d_theta = dirs
-    r_f, r_s = residuals(params, meas, tables)
-    resp_f = tables.final_phi @ d_phi + tables.final_theta @ d_theta
-    resp_s = tables.sensor_phi @ d_phi + tables.sensor_theta @ d_theta
-    pen_resp_t = tables.penalty_t @ d_phi
-    pen_resp_x = tables.penalty_x @ d_theta
-    denom = (resp_f @ resp_f + resp_s @ resp_s
-             + cfg.alpha * (pen_resp_t @ pen_resp_t + pen_resp_x @ pen_resp_x))
-    if denom == 0.0:
-        if not (np.any(d_phi != 0.0) or np.any(d_theta != 0.0)):
-            return 0.0
-        raise DegenerateDirectionError(
-            "direction is invisible to both the data and the penalty")
-    numer = (-(r_f @ resp_f) - (r_s @ resp_s)
-             + cfg.alpha * ((tables.penalty_t @ params.phi) @ pen_resp_t
-                            + (tables.penalty_x @ params.theta) @ pen_resp_x))
-    return float(numer / denom)
-
-
 def solve(meas: Measurements, geom: Geometry, mesh: MeasurementMesh,
           n_x: int, n_t: int, obj_cfg: ObjectiveConfig,
           solver_cfg: SolverConfig,
@@ -235,99 +200,104 @@ def solve(meas: Measurements, geom: Geometry, mesh: MeasurementMesh,
     """Run the conjugate-gradient inversion.
 
     Returns (params, trace, report).  The response tables are built once
-    (or reused if passed in); each iteration then costs a handful of small
-    matrix-vector products.  Non-finite cost or gradients raise
-    DivergenceError with the trace attached; hitting max_iters returns the
-    best iterate seen with status "not_converged".
+    (or reused if passed in).  The objective is ``|rhs - M x|^2`` on the
+    stacked system of ``stacked_system`` with ``x = [theta; phi]``, and each
+    iteration costs one product ``M d``, one product ``r M`` and vector
+    updates: the residual ``r`` follows the recurrence ``r += beta M d``.
+    The trace records that recurrence cost.  Before stopping as converged,
+    the solver recomputes the true residual ``rhs - M x``; if its cost is
+    not below ``epsilon`` the iteration goes on from it.  Non-finite cost
+    or gradients raise DivergenceError with the trace attached; hitting
+    max_iters returns the best iterate seen with status "not_converged".
+    The report's cost and gradient norms come from the true residual of
+    the returned iterate.
     """
     if tables is None:
         tables = sensitivity_tables(geom, mesh, n_x, n_t, trunc)
     if solver_cfg.init is not None:
-        params = solver_cfg.init.copy()
-        tables.check_params(params)
+        tables.check_params(solver_cfg.init)
+        x = np.concatenate([solver_cfg.init.theta, solver_cfg.init.phi])
     else:
-        params = PolyParams.zeros(n_x, n_t)
-    meas.check_against(tables)
+        x = np.zeros(n_x + n_t)
+    stacked, rhs = stacked_system(meas, obj_cfg, tables)
 
     trace = IterationTrace()
-    current_cost = cost(params, meas, obj_cfg, tables)
-    grads = gradient(params, meas, obj_cfg, tables)
-    gn_phi, gn_theta = _block_norms(grads)
-    _require_finite(current_cost, grads, trace)  # trace keeps finite rows only
-    trace.append(current_cost, gn_phi, gn_theta)
+    r = rhs - stacked @ x
+    g = -2.0 * (r @ stacked)
+    current_cost = _record(trace, r @ r, g, n_x)
 
     status = "not_converged"
-    best_params = params.copy()
-    best_cost = current_cost
-    grad_prev = None
-    dir_prev = None
+    best_x, best_cost = x, current_cost
+    period = solver_cfg.restart_period
+    d = None  # no direction to continue: the next step is a restart
+    gg_prev = 0.0
     iterations = 0
 
     for n in range(solver_cfg.max_iters):
-        if _sup_norm(grads) < STAGNATION_GRAD_NORM:
+        if np.abs(g).max() < STAGNATION_GRAD_NORM:
             status = "stationary"
             break
-        restart = (
-            solver_cfg.restart_period is not None
-            and n > 0
-            and n % solver_cfg.restart_period == 0
-        )
-        if n == 0 or restart:
-            gamma = 0.0
+        gg = g @ g
+        if d is None or (period is not None and n % period == 0):
+            gamma, d = 0.0, g
         else:
-            prev_sq = sum(float(g @ g) for g in grad_prev)
-            now_sq = sum(float(g @ g) for g in grads)
-            gamma = now_sq / prev_sq if prev_sq > 0.0 else 0.0
-        if gamma == 0.0:
-            dirs = grads
-        else:
-            dirs = (grads[0] + gamma * dir_prev[0],
-                    grads[1] + gamma * dir_prev[1])
-        try:
-            beta = step_size(params, dirs, meas, obj_cfg, tables)
-        except DegenerateDirectionError:
+            gamma = gg / gg_prev
+            d = g + gamma * d
+        q = stacked @ d
+        qq = q @ q
+        if qq == 0.0:
             logger.warning("degenerate direction at iteration %d; "
                            "restarting with the plain gradient", n)
-            gamma = 0.0
-            dirs = grads
-            beta = step_size(params, dirs, meas, obj_cfg, tables)
-        params = PolyParams(
-            phi=params.phi - beta * dirs[0],
-            theta=params.theta - beta * dirs[1],
-        )
-        current_cost = cost(params, meas, obj_cfg, tables)
-        grad_prev, dir_prev = grads, dirs
-        grads = gradient(params, meas, obj_cfg, tables)
-        gn_phi, gn_theta = _block_norms(grads)
-        _require_finite(current_cost, grads, trace)
-        trace.append(current_cost, gn_phi, gn_theta, gamma, gamma, beta, beta)
+            gamma, d = 0.0, g
+            q = stacked @ d
+            qq = q @ q
+            if qq == 0.0:
+                raise DegenerateDirectionError(
+                    "direction is invisible to both the data and the penalty")
+        beta = float(-(r @ q) / qq)
+        x = x - beta * d
+        r = r + beta * q
+        gg_prev = gg
+        g = -2.0 * (r @ stacked)
+        current_cost = _record(trace, r @ r, g, n_x, gamma, beta)
         iterations = n + 1
         if current_cost < best_cost:
-            best_cost = current_cost
-            best_params = params.copy()
+            best_x, best_cost = x, current_cost
         if current_cost < solver_cfg.epsilon:
-            status = "converged"
-            break
+            r = rhs - stacked @ x
+            g = -2.0 * (r @ stacked)
+            best_cost = float(r @ r)
+            if best_cost < solver_cfg.epsilon:
+                status = "converged"
+                break
+            d = None
 
     if status != "converged":
-        params = best_params
-        current_cost = best_cost
-        gn_phi, gn_theta = _block_norms(gradient(params, meas, obj_cfg, tables))
-
+        x = best_x
+        r = rhs - stacked @ x
+        g = -2.0 * (r @ stacked)
+    params = PolyParams(phi=x[n_x:], theta=x[:n_x])
     report = ConvergenceReport(
         status=status,
         iterations=iterations,
-        final_cost=current_cost,
-        grad_phi_norm=gn_phi,
-        grad_theta_norm=gn_theta,
+        final_cost=float(r @ r),
+        grad_phi_norm=float(np.linalg.norm(g[n_x:])),
+        grad_theta_norm=float(np.linalg.norm(g[:n_x])),
         stationarity=stationarity_check(params, meas, obj_cfg, tables),
     )
     return params, trace, report
 
 
-def _require_finite(cost_value, grads, trace):
-    """Raise DivergenceError (with the finite trace so far) on bad values."""
+def _record(trace, cost_value, g, n_x, gamma=0.0, beta=0.0):
+    """Append a trace row; raise DivergenceError (with the finite trace so
+    far) instead when the cost or a gradient norm is not finite."""
+    cost_value = float(cost_value)
+    g_theta, g_phi = g[:n_x], g[n_x:]
+    gn_phi = math.sqrt(g_phi @ g_phi)
+    gn_theta = math.sqrt(g_theta @ g_theta)
     if not math.isfinite(cost_value):
         raise DivergenceError(f"non-finite cost {cost_value}", trace=trace)
-    if not all(np.all(np.isfinite(g)) for g in grads):
+    if not math.isfinite(gn_phi + gn_theta):
         raise DivergenceError("non-finite gradient", trace=trace)
+    trace.append(cost_value, gn_phi, gn_theta, gamma, gamma, beta, beta)
+    return cost_value

@@ -20,8 +20,7 @@ from heatsource.model import (MeasurementMesh, PolyParams,
                               sensitivity_tables)
 from heatsource.objective import (Measurements, ObjectiveConfig, cost,
                                   gradient, ridge_solve)
-from heatsource.solver import (SolverConfig, solve, stationarity_check,
-                               step_size)
+from heatsource.solver import SolverConfig, solve, stationarity_check
 from oracles import golden_minimize, quad_exp_moment, quad_sine_moment
 
 TR = TruncationPolicy()
@@ -177,8 +176,12 @@ def test_criterion_4_step_sizes_match_golden_section(small_problem):
     for _ in range(20):
         params = PolyParams(phi=rng.standard_normal(5) * scale_phi,
                             theta=rng.standard_normal(6) * scale_theta)
-        # the solver's first two directions: the gradient, then the
-        # Fletcher-Reeves conjugate direction
+        # the steps solve records for its first two updates, checked along
+        # its first two directions rebuilt from the objective: the
+        # gradient, then the Fletcher-Reeves conjugate direction
+        _, trace, _ = solve(meas, geom, mesh, 6, 5, cfg,
+                            SolverConfig(epsilon=1e-300, max_iters=2,
+                                         init=params), tables=tables)
         grads = gradient(params, meas, cfg, tables)
         dirs = grads
         for n in range(2):
@@ -187,7 +190,7 @@ def test_criterion_4_step_sizes_match_golden_section(small_problem):
                 gamma = (sum(float(g @ g) for g in grads)
                          / sum(float(g @ g) for g in g_prev))
                 dirs = (grads[0] + gamma * dirs[0], grads[1] + gamma * dirs[1])
-            beta = step_size(params, dirs, meas, cfg, tables)
+            beta = trace.beta_phi[n + 1]
 
             def along(s):
                 return cost(PolyParams(phi=params.phi - s * dirs[0],

@@ -279,6 +279,17 @@ class TestMain:
         assert main(argv + small) == code
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        # the default grid follows the case: polynomial's rod is (0, 2)
+        ["sweep", "--case", "polynomial"],
+        # negative comma lists after a flag are values, not options
+        ["sweep", "--sweep_n", "6x5", "--sweep_xstar", "-1.34,2.97"],
+        ["forward", "--phi", "-1,0.5", "--theta", "-1,2,0"],
+    ], ids=" ".join)
+    def test_accepted_input_exit_code(self, tmp_path, capsys, argv):
+        small = ["--i_x", "20", "--i_t", "20", "--outdir", str(tmp_path)]
+        assert main(argv + small) == EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err
 
 _KEYS = [f.name for f in fields(RunConfig)] + ["bogus", ""]
 _VALUES = st.one_of(

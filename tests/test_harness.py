@@ -206,6 +206,29 @@ class TestSweep:
         assert len(cells) == 10
         assert {(c.n_x, c.n_t) for c in cells} == {(6, 5), (12, 9)}
 
+    def test_cells_differing_in_alpha_share_tables(self, example1,
+                                                    monkeypatch):
+        from heatsource import harness, solver
+
+        built = []
+        real = harness.sensitivity_tables
+
+        def counting(geom, mesh, n_x, n_t, *args, **kwargs):
+            built.append((geom.sensor, n_x, n_t))
+            return real(geom, mesh, n_x, n_t, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "sensitivity_tables", counting)
+        monkeypatch.setattr(solver, "sensitivity_tables", counting)
+        cells = [SweepCell(n_x=4, n_t=3, x_star=x, alpha=a)
+                 for x in (-0.17, 2.97) for a in (1e-6, 1e-4, 1e-2)]
+        cfg = SolverConfig(max_iters=50)
+        reports = sweep(example1, cells, cfg, i_x=25, i_t=25)
+        assert built == [(-0.17, 4, 3), (2.97, 4, 3)]
+        alone = invert_case(example1.with_sensor(2.97), 4, 3,
+                            ObjectiveConfig(alpha=1e-4), cfg,
+                            i_x=25, i_t=25).errors
+        assert reports[4].csv_row() == alone.csv_row()
+
     def test_cell_failure_is_recorded_not_raised(self, example1):
         cells = [SweepCell(n_x=6, n_t=5, x_star=2.97, alpha=-1.0),
                  SweepCell(n_x=3, n_t=2, x_star=2.97, alpha=1e-6)]
