@@ -14,9 +14,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .kernels import DEFAULT_TRUNCATION, TruncationPolicy
 from .model import (Geometry, MeasurementMesh, PolyParams,
-                    SensitivityTables, phi_response_history,
-                    phi_response_profile, sensitivity_tables,
-                    theta_response_history, theta_response_profile)
+                    SensitivityTables, rod_tables, sensitivity_tables)
 from .objective import Measurements, ObjectiveConfig
 from .output import write_csv
 from .solver import ConvergenceReport, IterationTrace, SolverConfig, solve
@@ -298,24 +296,29 @@ def sweep(case: ManufacturedCase, cells, solver_cfg: SolverConfig,
           seed: int = 42, trunc: TruncationPolicy = DEFAULT_TRUNCATION):
     """Run one inversion per cell and return the reports in cell order.
 
-    Cells that differ only in alpha share one set of response tables.
-    Per-cell failures are recorded in the report's status and do not stop
-    the sweep.  After the run, the sensor-position trend of the initial-
-    profile error is checked per coefficient-count group and logged (soft
+    Cells of one size share one sensor-independent table layer, and cells
+    that differ only in alpha share one set of response tables.  Per-cell
+    failures are recorded in the report's status and do not stop the sweep.
+    After the run, the sensor-position trend of the initial-profile error
+    is checked per size and alpha over two or more sensors and logged (soft
     observation, never a failure).
     """
     cells = list(cells)
     reports = []
+    rods = {}  # (n_x, n_t) -> RodTables
     tables = {}  # (x_star, n_x, n_t) -> SensitivityTables
     for cell in cells:
         try:
             cell_case = case.with_sensor(cell.x_star)
             key = (cell.x_star, cell.n_x, cell.n_t)
             if key not in tables:
-                geom = cell_case.geometry
-                tables[key] = sensitivity_tables(
-                    geom, MeasurementMesh.regular(geom, i_x, i_t),
-                    cell.n_x, cell.n_t, trunc)
+                size = (cell.n_x, cell.n_t)
+                if size not in rods:
+                    geom = cell_case.geometry
+                    rods[size] = rod_tables(
+                        geom, MeasurementMesh.regular(geom, i_x, i_t),
+                        cell.n_x, cell.n_t, trunc)
+                tables[key] = rods[size].at_sensor(cell.x_star)
             result = invert_case(
                 cell_case, cell.n_x, cell.n_t,
                 ObjectiveConfig(alpha=cell.alpha), solver_cfg,
@@ -329,21 +332,18 @@ def sweep(case: ManufacturedCase, cells, solver_cfg: SolverConfig,
                 case=case.name, n_x=cell.n_x, n_t=cell.n_t,
                 x_star=cell.x_star, alpha=cell.alpha, i_x=i_x, i_t=i_t))
 
-    for n_x, n_t in sorted({(c.n_x, c.n_t) for c in cells}):
-        group = [r for r in reports
-                 if r.n_x == n_x and r.n_t == n_t and math.isfinite(r.e_u0)]
-        group.sort(key=lambda r: r.x_star)
-        if len(group) >= 2:
-            values = [r.e_u0 for r in group]
-            if all(b < a for a, b in zip(values, values[1:])):
-                logger.info(
-                    "initial-profile error decreases toward the right "
-                    "sensor positions for %dx%d", n_x, n_t)
-            else:
-                logger.info(
-                    "initial-profile error is not monotone across sensor "
-                    "positions for %dx%d: %s", n_x, n_t,
-                    ["%.3e" % v for v in values])
+    for n_x, n_t, alpha in sorted({(c.n_x, c.n_t, c.alpha) for c in cells}):
+        group = sorted((r for r in reports
+                        if (r.n_x, r.n_t, r.alpha) == (n_x, n_t, alpha)
+                        and math.isfinite(r.e_u0)), key=lambda r: r.x_star)
+        if len({r.x_star for r in group}) < 2:
+            continue
+        values = [r.e_u0 for r in group]
+        trend = ("decreases toward the right sensor positions"
+                 if all(b < a for a, b in zip(values, values[1:]))
+                 else "is not monotone across sensor positions")
+        logger.info("initial-profile error %s for %dx%d at alpha=%g: %s",
+                    trend, n_x, n_t, alpha, ["%.3e" % v for v in values])
     return reports
 
 
@@ -365,31 +365,22 @@ def emit_sensitivity_data(geom: Geometry, n_x: int, n_t: int,
     two sample the sensor-history responses over the time nodes from
     index 1 on.  Returns the four paths.
     """
+    rod = rod_tables(geom, mesh, n_x, n_t, trunc)
+    tables = rod.at_sensor(geom.sensor)
     outdir = Path(outdir)
-    if mesh.x_nodes.size < 2 or mesh.t_interior.size < 1:
-        raise ValueError("mesh must provide at least one interior node")
-    xs = mesh.x_nodes
     ts = mesh.t_interior
-    x_star = geom.sensor_shifted
-    final_theta = theta_response_profile(xs, geom.t_final, geom.length,
-                                         n_x, trunc)
-    final_phi = phi_response_profile(xs, geom.t_final, geom.length,
-                                     n_t, trunc)
-    sensor_theta = theta_response_history(x_star, ts, geom.length, n_x, trunc)
-    sensor_phi = phi_response_history(x_star, ts, geom.length, n_t, trunc)
-    x_phys = geom.to_physical(xs)
-    paths = [
+    x_phys = geom.to_physical(mesh.x_nodes)
+    return [
         write_csv(outdir / f"{run_id}_final_by_initial.csv",
                   ["x"] + [f"m{m}" for m in range(1, n_x + 1)],
-                  np.column_stack([x_phys, final_theta])),
+                  np.column_stack([x_phys, rod.final_theta])),
         write_csv(outdir / f"{run_id}_sensor_by_initial.csv",
                   ["t"] + [f"m{m}" for m in range(1, n_x + 1)],
-                  np.column_stack([ts, sensor_theta])),
+                  np.column_stack([ts, tables.sensor_theta])),
         write_csv(outdir / f"{run_id}_final_by_source.csv",
                   ["x"] + [f"k{k}" for k in range(1, n_t + 1)],
-                  np.column_stack([x_phys, final_phi])),
+                  np.column_stack([x_phys, rod.final_phi])),
         write_csv(outdir / f"{run_id}_sensor_by_source.csv",
                   ["t"] + [f"k{k}" for k in range(1, n_t + 1)],
-                  np.column_stack([ts, sensor_phi])),
+                  np.column_stack([ts, tables.sensor_phi])),
     ]
-    return paths

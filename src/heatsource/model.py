@@ -31,6 +31,8 @@ __all__ = [
     "PolyParams",
     "MeasurementMesh",
     "SensitivityTables",
+    "RodTables",
+    "rod_tables",
     "sensitivity_tables",
     "eval_u_final",
     "eval_u_interior",
@@ -176,11 +178,6 @@ def _theta_modes(n_theta: int, t_min: float, length: float,
     return np.arange(1, n + 1, dtype=float)
 
 
-def _theta_weights(n_theta: int, modes: np.ndarray, length: float) -> np.ndarray:
-    """Per-mode moment weights S_(m-1)(lam_n), shape (n_theta, n_modes)."""
-    return sine_moment_stack(n_theta - 1, modes, length)
-
-
 def theta_response_profile(xs, t: float, length: float, n_theta: int,
                            trunc: TruncationPolicy) -> np.ndarray:
     """Responses of u(x, t) to each initial-profile coefficient, for many x
@@ -188,7 +185,7 @@ def theta_response_profile(xs, t: float, length: float, n_theta: int,
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     modes = _theta_modes(n_theta, t, length, trunc)
     lam = (math.pi / length) * modes
-    weights = _theta_weights(n_theta, modes, length) * np.exp(-lam * lam * t)
+    weights = sine_moment_stack(n_theta - 1, modes, length) * np.exp(-lam * lam * t)
     return 2.0 / length * sin_modes(xs, length, modes) @ weights.T
 
 
@@ -196,15 +193,26 @@ def theta_response_history(x: float, ts, length: float, n_theta: int,
                            trunc: TruncationPolicy) -> np.ndarray:
     """Responses of u(x, t) to each initial-profile coefficient, at one x for
     many times.  Shape (len(ts), n_theta)."""
+    return _theta_history(ts, length, n_theta, trunc)(x)
+
+
+def _history_times(ts) -> np.ndarray:
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if not np.all(ts > 0.0):
         raise DomainError("history times must be positive")
+    return ts
+
+
+def _theta_history(ts, length: float, n_theta: int, trunc: TruncationPolicy):
+    """The theta history as a function of the point x.  Its modes, moment
+    weights and exp(-lam^2 t) decay matrix do not depend on x."""
+    ts = _history_times(ts)
     modes = _theta_modes(n_theta, float(ts.min()), length, trunc)
     lam = (math.pi / length) * modes
-    weights = _theta_weights(n_theta, modes, length)
+    weights = sine_moment_stack(n_theta - 1, modes, length)
     decay = np.exp(-np.multiply.outer(ts, lam * lam))
-    sx = sin_modes(x, length, modes)
-    return 2.0 / length * (decay * sx) @ weights.T
+    return lambda x: (2.0 / length * (decay * sin_modes(x, length, modes))
+                      @ weights.T)
 
 
 def _bump(x, length):
@@ -256,15 +264,12 @@ def _phi_modes(n_phi: int, t_min: float, t_max: float, length: float,
 
 def _phi_assemble(head: np.ndarray, ts, d0, d1, n_phi: int) -> np.ndarray:
     """head[:, k-1] + t^(k-1) d0 - (k-1) t^(k-2) d1 column by column."""
-    ts = np.asarray(ts, dtype=float)
     out = np.array(head)
+    out[:, 0] += d0
     t_pow = np.ones_like(ts)  # t^(k-2) for the current k
-    for k in range(1, n_phi + 1):
-        if k == 1:
-            out[:, 0] += d0
-        else:
-            out[:, k - 1] += t_pow * (ts * d0 - (k - 1) * d1)
-            t_pow = t_pow * ts
+    for k in range(2, n_phi + 1):
+        out[:, k - 1] += t_pow * (ts * d0 - (k - 1) * d1)
+        t_pow = t_pow * ts
     return out
 
 
@@ -289,17 +294,24 @@ def phi_response_history(x: float, ts, length: float, n_phi: int,
                          trunc: TruncationPolicy) -> np.ndarray:
     """Responses of u(x, t) to each source coefficient, at one x for many
     times.  Shape (len(ts), n_phi)."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if not np.all(ts > 0.0):
-        raise DomainError("history times must be positive")
+    return _phi_history(ts, length, n_phi, trunc)(x)
+
+
+def _phi_history(ts, length: float, n_phi: int, trunc: TruncationPolicy):
+    """The phi history as a function of the point x.  Its odd modes and
+    their exp-moment stack do not depend on x."""
+    ts = _history_times(ts)
     modes = _phi_modes(n_phi, float(ts.min()), float(ts.max()), length, trunc)
     lam = (math.pi / length) * modes
     stack = exp_moment_stack(n_phi - 1, lam * lam, ts)
-    sx = sin_modes(x, length, modes)
-    head = 4.0 / length * np.einsum("n,pnj->jp", sx / lam, stack)
-    d0 = float(_bump(x, length) - 4.0 / length * np.dot(sx, 1.0 / lam**3))
-    d1 = float(_bump2(x, length) - 4.0 / length * np.dot(sx, 1.0 / lam**5))
-    return _phi_assemble(head, ts, d0, d1, n_phi)
+
+    def at(x):
+        sx = sin_modes(x, length, modes)
+        head = 4.0 / length * np.einsum("n,pnj->jp", sx / lam, stack)
+        d0 = float(_bump(x, length) - 4.0 / length * np.dot(sx, 1.0 / lam**3))
+        d1 = float(_bump2(x, length) - 4.0 / length * np.dot(sx, 1.0 / lam**5))
+        return _phi_assemble(head, ts, d0, d1, n_phi)
+    return at
 
 
 # ---------------------------------------------------------------------------
@@ -345,29 +357,64 @@ class SensitivityTables:
         return u_final, u_sensor
 
 
+@dataclass(frozen=True, eq=False)
+class RodTables:
+    """The sensor-independent layer of the response tables of one rod, mesh,
+    coefficient counts and truncation policy (``geom.sensor`` plays no
+    part).  ``final_*`` cover every spatial node, boundary rows included.
+    ``theta_history`` and ``phi_history`` hold the modes, moment weights,
+    decay matrix and exp-moment stack, and map a shifted sensor position to
+    its history tables; ``at_sensor`` assembles the tables of one sensor."""
+
+    geom: Geometry
+    mesh: MeasurementMesh
+    n_x: int
+    n_t: int
+    trunc: TruncationPolicy
+    final_theta: np.ndarray
+    final_phi: np.ndarray
+    penalty_x: np.ndarray
+    penalty_t: np.ndarray
+    theta_history: callable
+    phi_history: callable
+
+    def at_sensor(self, x_star: float) -> SensitivityTables:
+        """The response tables with the sensor at physical ``x_star``."""
+        geom = self.geom.with_sensor(x_star)
+        x = geom.sensor_shifted
+        return SensitivityTables(
+            geom, self.mesh, self.n_x, self.n_t, self.trunc,
+            self.final_theta[1:], self.final_phi[1:], self.theta_history(x),
+            self.phi_history(x), self.penalty_x, self.penalty_t)
+
+
+def rod_tables(geom: Geometry, mesh: MeasurementMesh, n_x: int, n_t: int,
+               trunc: TruncationPolicy = DEFAULT_TRUNCATION) -> RodTables:
+    """Build the sensor-independent layer of the response tables."""
+    if n_x < 1 or n_t < 1:
+        raise ShapeMismatchError(f"n_x and n_t must be >= 1, got {n_x}, {n_t}")
+    xs, ts, length = mesh.x_interior, mesh.t_interior, geom.length
+    final_theta = theta_response_profile(xs, geom.t_final, length, n_x, trunc)
+    final_phi = phi_response_profile(xs, geom.t_final, length, n_t, trunc)
+    # The phi stack comes first, so the theta decay matrix is not alive
+    # beside its temporaries.  Row 0 (the left rod end) is exactly zero; the
+    # data rows are built without it, as BLAS may sum a row in an order that
+    # depends on the row count.
+    phi_history = _phi_history(ts, length, n_t, trunc)
+    return RodTables(geom, mesh, n_x, n_t, trunc,
+                     np.vstack([np.zeros(n_x), final_theta]),
+                     np.vstack([np.zeros(n_t), final_phi]),
+                     npoly.polyvander(xs, n_x - 1),
+                     npoly.polyvander(ts, n_t - 1),
+                     _theta_history(ts, length, n_x, trunc), phi_history)
+
+
 def sensitivity_tables(geom: Geometry, mesh: MeasurementMesh, n_x: int,
                        n_t: int,
                        trunc: TruncationPolicy = DEFAULT_TRUNCATION
                        ) -> SensitivityTables:
     """Build the four response tables and the penalty monomial tables."""
-    if n_x < 1 or n_t < 1:
-        raise ShapeMismatchError(f"n_x and n_t must be >= 1, got {n_x}, {n_t}")
-    xs = mesh.x_interior
-    ts = mesh.t_interior
-    x_star = geom.sensor_shifted
-    return SensitivityTables(
-        geom=geom,
-        mesh=mesh,
-        n_x=n_x,
-        n_t=n_t,
-        trunc=trunc,
-        final_theta=theta_response_profile(xs, geom.t_final, geom.length, n_x, trunc),
-        final_phi=phi_response_profile(xs, geom.t_final, geom.length, n_t, trunc),
-        sensor_theta=theta_response_history(x_star, ts, geom.length, n_x, trunc),
-        sensor_phi=phi_response_history(x_star, ts, geom.length, n_t, trunc),
-        penalty_x=npoly.polyvander(xs, n_x - 1),
-        penalty_t=npoly.polyvander(ts, n_t - 1),
-    )
+    return rod_tables(geom, mesh, n_x, n_t, trunc).at_sensor(geom.sensor)
 
 
 # ---------------------------------------------------------------------------

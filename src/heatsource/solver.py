@@ -157,39 +157,26 @@ def stationarity_check(params: PolyParams, meas: Measurements,
     cross terms against the residual inner products, under both history-sum
     weightings.  Margins are normalized by (1 + |lhs| + |rhs|).
     """
-    rng = np.random.default_rng(seed)
     r_f, r_s = residuals(params, meas, tables)
-    worst_mixed = math.inf
-    worst_sym = math.inf
-    for _ in range(n_trials):
-        trial_phi = rng.standard_normal(tables.n_t)
-        trial_theta = rng.standard_normal(tables.n_x)
-        d_phi = trial_phi - params.phi
-        d_theta = trial_theta - params.theta
-        v_f = tables.final_theta @ d_theta + tables.final_phi @ d_phi
-        v_s = tables.sensor_theta @ d_theta + tables.sensor_phi @ d_phi
-        pen_x_trial = tables.penalty_x @ trial_theta
-        pen_x_delta = tables.penalty_x @ d_theta
-        pen_t_trial = tables.penalty_t @ trial_phi
-        pen_t_delta = tables.penalty_t @ d_phi
-        lhs = float(2.0 * cfg.alpha * (
-            pen_x_trial @ pen_x_delta + pen_t_trial @ pen_t_delta
-        ))
-        data_f = float(r_f @ v_f)
-        data_s = float(r_s @ v_s)
-        for weight_s, bucket in ((1.0, "mixed"), (2.0, "symmetric")):
-            rhs = 2.0 * data_f + weight_s * data_s
-            margin = (lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
-            if bucket == "mixed":
-                worst_mixed = min(worst_mixed, margin)
-            else:
-                worst_sym = min(worst_sym, margin)
-    return StationarityCheck(
-        n_trials=n_trials,
-        worst_margin_mixed=worst_mixed,
-        worst_margin_symmetric=worst_sym,
-        slack=slack,
-    )
+    # One row per trial, drawn as [phi | theta] in the per-trial order.
+    trials = np.random.default_rng(seed).standard_normal(
+        (n_trials, tables.n_t + tables.n_x))
+    t_phi, t_theta = trials[:, :tables.n_t], trials[:, tables.n_t:]
+    d_phi, d_theta = t_phi - params.phi, t_theta - params.theta
+    data_f = (d_theta @ tables.final_theta.T
+              + d_phi @ tables.final_phi.T) @ r_f
+    data_s = (d_theta @ tables.sensor_theta.T
+              + d_phi @ tables.sensor_phi.T) @ r_s
+    pen_x, pen_t = tables.penalty_x.T, tables.penalty_t.T
+    lhs = 2.0 * cfg.alpha * (
+        np.einsum("ij,ij->i", t_theta @ pen_x, d_theta @ pen_x)
+        + np.einsum("ij,ij->i", t_phi @ pen_t, d_phi @ pen_t))
+    worst = []
+    for weight_s in (1.0, 2.0):  # the mixed and the symmetric weighting
+        rhs = 2.0 * data_f + weight_s * data_s
+        margin = (lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs))
+        worst.append(float(margin.min(initial=math.inf)))
+    return StationarityCheck(n_trials, *worst, slack=slack)
 
 
 def solve(meas: Measurements, geom: Geometry, mesh: MeasurementMesh,

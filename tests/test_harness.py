@@ -208,26 +208,56 @@ class TestSweep:
 
     def test_cells_differing_in_alpha_share_tables(self, example1,
                                                     monkeypatch):
-        from heatsource import harness, solver
+        from heatsource import harness, model, solver
 
-        built = []
-        real = harness.sensitivity_tables
+        built, contracted, rebuilt = [], [], []
+        real_build = harness.rod_tables
+        real_contract = model.RodTables.at_sensor
 
-        def counting(geom, mesh, n_x, n_t, *args, **kwargs):
-            built.append((geom.sensor, n_x, n_t))
-            return real(geom, mesh, n_x, n_t, *args, **kwargs)
+        def counting_build(geom, mesh, n_x, n_t, *args, **kwargs):
+            built.append((n_x, n_t))
+            return real_build(geom, mesh, n_x, n_t, *args, **kwargs)
 
-        monkeypatch.setattr(harness, "sensitivity_tables", counting)
-        monkeypatch.setattr(solver, "sensitivity_tables", counting)
+        def counting_contract(rod, x_star):
+            contracted.append((x_star, rod.n_x, rod.n_t))
+            return real_contract(rod, x_star)
+
+        monkeypatch.setattr(harness, "rod_tables", counting_build)
+        monkeypatch.setattr(model.RodTables, "at_sensor", counting_contract)
+        monkeypatch.setattr(solver, "sensitivity_tables",
+                            lambda geom, *args: rebuilt.append(geom.sensor))
         cells = [SweepCell(n_x=4, n_t=3, x_star=x, alpha=a)
                  for x in (-0.17, 2.97) for a in (1e-6, 1e-4, 1e-2)]
         cfg = SolverConfig(max_iters=50)
         reports = sweep(example1, cells, cfg, i_x=25, i_t=25)
-        assert built == [(-0.17, 4, 3), (2.97, 4, 3)]
+        assert built == [(4, 3)]
+        assert contracted == [(-0.17, 4, 3), (2.97, 4, 3)]
+        assert rebuilt == []
+        monkeypatch.undo()
         alone = invert_case(example1.with_sensor(2.97), 4, 3,
                             ObjectiveConfig(alpha=1e-4), cfg,
                             i_x=25, i_t=25).errors
         assert reports[4].csv_row() == alone.csv_row()
+
+    def test_sensors_of_one_size_share_one_layer(self, example1,
+                                                 monkeypatch):
+        # Per size, the layer computes the moment stack of the final profile
+        # and that of the sensor history; the five sensors add none.
+        from heatsource import model
+
+        calls = []
+        real = model.exp_moment_stack
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model, "exp_moment_stack", counting)
+        reports = sweep(example1, default_sweep_cells(),
+                        SolverConfig(max_iters=20), i_x=20, i_t=20)
+        assert len(reports) == 10
+        assert not any(r.status.startswith("error") for r in reports)
+        assert len(calls) == 4
 
     def test_cell_failure_is_recorded_not_raised(self, example1):
         cells = [SweepCell(n_x=6, n_t=5, x_star=2.97, alpha=-1.0),
@@ -246,6 +276,29 @@ class TestSweep:
         with caplog.at_level(logging.INFO, logger="heatsource.harness"):
             sweep(example1, cells, SolverConfig(max_iters=100), i_x=25, i_t=25)
         assert any("initial-profile error" in r.message for r in caplog.records)
+
+    def test_one_sensor_alpha_scan_logs_no_sensor_trend(self, example1,
+                                                         caplog):
+        import logging
+
+        cells = [SweepCell(n_x=4, n_t=3, x_star=2.97, alpha=a)
+                 for a in (1e-6, 1e-4, 1e-2)]
+        with caplog.at_level(logging.INFO, logger="heatsource.harness"):
+            sweep(example1, cells, SolverConfig(max_iters=100), i_x=25, i_t=25)
+        assert not [r.message for r in caplog.records
+                    if "sensor positions" in r.message]
+
+    def test_sensor_trend_is_checked_per_alpha(self, example1, caplog):
+        import logging
+
+        cells = [SweepCell(n_x=4, n_t=3, x_star=x, alpha=a)
+                 for x in (-0.17, 2.97) for a in (1e-6, 1e-2)]
+        with caplog.at_level(logging.INFO, logger="heatsource.harness"):
+            sweep(example1, cells, SolverConfig(max_iters=100), i_x=25, i_t=25)
+        trends = [r.message for r in caplog.records
+                  if "sensor positions" in r.message]
+        assert len(trends) == 2
+        assert "alpha=1e-06" in trends[0] and "alpha=0.01" in trends[1]
 
     def test_alpha_scan_on_noisy_data_is_u_shaped(self, example1):
         alphas = np.geomspace(1e-8, 1e-2, 7)

@@ -9,8 +9,9 @@ from heatsource.kernels import TruncationPolicy
 from heatsource.model import (Geometry, MeasurementMesh, PolyParams,
                               eval_u_final, eval_u_interior,
                               phi_response_history,
-                              phi_response_profile, sensitivity_tables,
-                              theta_response_history, theta_response_profile)
+                              phi_response_profile, rod_tables,
+                              sensitivity_tables, theta_response_history,
+                              theta_response_profile)
 
 TR = TruncationPolicy()
 L = 2.0 * math.pi
@@ -292,6 +293,43 @@ class TestSensitivityTables:
     def test_params_shape_check(self, tables):
         with pytest.raises(ShapeMismatchError):
             tables.predict(PolyParams.zeros(3, 3))
+
+
+class TestRodTables:
+    """The sensor-independent layer, contracted at a sensor, gives the same
+    tables as a fresh build for that sensor."""
+
+    SENSORS = (-1.34, -0.17, 0.99, 2.15, 2.97)
+    FIELDS = ("final_theta", "final_phi", "sensor_theta", "sensor_phi",
+              "penalty_x", "penalty_t")
+
+    @pytest.mark.parametrize("n_x,n_t", [(6, 5), (12, 9)])
+    def test_contraction_matches_a_fresh_build(self, geom, mesh, n_x, n_t):
+        rod = rod_tables(geom.with_sensor(self.SENSORS[0]), mesh, n_x, n_t,
+                         TR)
+        for x_star in self.SENSORS:
+            got = rod.at_sensor(x_star)
+            fresh = sensitivity_tables(geom.with_sensor(x_star), mesh, n_x,
+                                       n_t, TR)
+            assert got.geom == fresh.geom
+            for name in self.FIELDS:
+                assert np.array_equal(getattr(got, name),
+                                      getattr(fresh, name)), (x_star, name)
+
+    def test_final_tables_include_the_left_end(self, geom, mesh):
+        rod = rod_tables(geom, mesh, 6, 5, TR)
+        tables = rod.at_sensor(geom.sensor)
+        assert rod.final_theta.shape == (mesh.x_nodes.size, 6)
+        assert rod.final_phi.shape == (mesh.x_nodes.size, 5)
+        assert np.all(rod.final_theta[0] == 0.0)
+        assert np.all(rod.final_phi[0] == 0.0)
+        assert np.array_equal(rod.final_theta[1:], tables.final_theta)
+        assert np.array_equal(rod.final_phi[1:], tables.final_phi)
+
+    def test_sensor_outside_the_rod_rejected(self, geom, mesh):
+        rod = rod_tables(geom, mesh, 3, 2, TR)
+        with pytest.raises(DomainError):
+            rod.at_sensor(geom.offset + geom.length + 0.1)
 
 
 class TestDirectionResponse:

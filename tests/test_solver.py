@@ -424,6 +424,62 @@ class TestStationarityCheck:
         assert not (check.holds_mixed and check.holds_symmetric)
 
 
+def _per_trial_stationarity(params, meas, cfg, tables, n_trials=20,
+                            seed=20_240_817):
+    """Reference audit: one trial at a time, phi drawn before theta."""
+    rng = np.random.default_rng(seed)
+    r_f, r_s = residuals(params, meas, tables)
+    worst = [math.inf, math.inf]
+    for _ in range(n_trials):
+        trial_phi = rng.standard_normal(tables.n_t)
+        trial_theta = rng.standard_normal(tables.n_x)
+        d_phi = trial_phi - params.phi
+        d_theta = trial_theta - params.theta
+        v_f = tables.final_theta @ d_theta + tables.final_phi @ d_phi
+        v_s = tables.sensor_theta @ d_theta + tables.sensor_phi @ d_phi
+        lhs = 2.0 * cfg.alpha * (
+            (tables.penalty_x @ trial_theta) @ (tables.penalty_x @ d_theta)
+            + (tables.penalty_t @ trial_phi) @ (tables.penalty_t @ d_phi))
+        for k, weight_s in enumerate((1.0, 2.0)):
+            rhs = 2.0 * (r_f @ v_f) + weight_s * (r_s @ v_s)
+            worst[k] = min(worst[k],
+                           (lhs - rhs) / (1.0 + abs(lhs) + abs(rhs)))
+    return worst
+
+
+class TestStationarityBatch:
+    """The audit evaluates its trials as matrix products; the sums run in
+    another order than one trial at a time, so the margins (normalized to
+    order one) may differ by rounding, far below the 1e-8 slack."""
+
+    @pytest.mark.parametrize("alpha", [1e-8, 1e-6, 1e-2])
+    def test_matches_per_trial_loop(self, example_problem, poly_problem,
+                                    alpha):
+        cfg = ObjectiveConfig(alpha=alpha)
+        rng = np.random.default_rng(31)
+        _, _, tables, meas = example_problem
+        _, _, poly_tables, _, poly_meas = poly_problem
+        for meas, tables in ((meas, tables), (poly_meas, poly_tables)):
+            minimizer = ridge_solve(meas, cfg, tables)
+            nearby = PolyParams(
+                phi=minimizer.phi + 1e-3 * rng.standard_normal(tables.n_t),
+                theta=minimizer.theta)
+            for params in (minimizer, nearby, PolyParams.zeros(tables.n_x,
+                                                               tables.n_t)):
+                check = stationarity_check(params, meas, cfg, tables)
+                ref = _per_trial_stationarity(params, meas, cfg, tables)
+                got = [check.worst_margin_mixed, check.worst_margin_symmetric]
+                np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+
+    def test_no_trials(self, example_problem):
+        _, _, tables, meas = example_problem
+        cfg = ObjectiveConfig(alpha=1e-6)
+        check = stationarity_check(PolyParams.zeros(6, 5), meas, cfg, tables,
+                                   n_trials=0)
+        assert check.worst_margin_mixed == math.inf
+        assert check.holds_mixed and check.holds_symmetric
+
+
 class TestIterationTrace:
     def test_rows_layout(self):
         trace = IterationTrace()
