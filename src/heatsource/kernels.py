@@ -189,13 +189,17 @@ def exp_moment_stack(max_power: int, lam_sq, t) -> np.ndarray:
     a = np.multiply.outer(lam_sq, t)
     out = np.empty((max_power + 1,) + a.shape)
     ls = lam_sq[:, None]
-    j = -np.expm1(-a) / ls
-    out[0] = j
+    # The recurrence writes each J_p in place: no temporaries.
+    np.negative(a, out=out[0])
+    np.expm1(out[0], out=out[0])
+    np.negative(out[0], out=out[0])
+    np.divide(out[0], ls, out=out[0])
     t_pow = np.ones_like(t)
     for p in range(1, max_power + 1):
         t_pow = t_pow * t
-        j = (t_pow[None, :] - p * j) / ls
-        out[p] = j
+        np.multiply(out[p - 1], p, out=out[p])
+        np.subtract(t_pow, out[p], out=out[p])
+        np.divide(out[p], ls, out=out[p])
     switch = max(_SERIES_SWITCH_BASE, 2.0 * max_power)
     small = a < switch
     if np.any(small):

@@ -22,8 +22,8 @@ from .errors import DegenerateDirectionError, DivergenceError
 from .kernels import DEFAULT_TRUNCATION, TruncationPolicy
 from .model import (Geometry, MeasurementMesh, PolyParams, SensitivityTables,
                     sensitivity_tables)
-from .objective import (Measurements, ObjectiveConfig, residuals,
-                        stacked_system)
+from .objective import (Measurements, ObjectiveConfig, cost_floor,
+                        residuals, stacked_system)
 
 __all__ = [
     "SolverConfig",
@@ -36,8 +36,10 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# Below this gradient sup-norm the iteration cannot make progress in double
-# precision; used to stop runs whose cost target is unreachable (noisy data).
+# Stop when every entry of the recurrence gradient is below this absolute
+# level.  It fires only when the gradient is exactly tiny, as at an exact
+# start; a run whose epsilon lies below the attainable cost (noisy data)
+# keeps a gradient far above it and stops at the cost floor instead.
 STAGNATION_GRAD_NORM = 1e-14
 
 
@@ -46,10 +48,10 @@ class SolverConfig:
     """Stopping rule and iteration policy.
 
     The iteration stops once the objective value drops below ``epsilon``
-    (checked after each update), or at ``max_iters``, or when the gradient
-    stagnates at rounding level.  ``restart_period`` optionally zeroes the
-    momentum every so many iterations; ``init`` overrides the all-zero
-    initial guess.
+    (checked after each update), or at the objective's minimum when
+    ``epsilon`` lies below it, or at ``max_iters``, or when the gradient is
+    exactly tiny.  ``restart_period`` optionally zeroes the momentum every
+    so many iterations; ``init`` overrides the all-zero initial guess.
     """
 
     epsilon: float = 1e-3
@@ -134,12 +136,13 @@ class StationarityCheck:
 class ConvergenceReport:
     """Outcome of a solve: status, final cost, and the stationarity audit."""
 
-    status: str  # "converged" | "not_converged" | "stationary"
+    status: str  # "converged" | "floor" | "not_converged" | "stationary"
     iterations: int
     final_cost: float
     grad_phi_norm: float
     grad_theta_norm: float
     stationarity: StationarityCheck | None = None
+    cost_floor: float = math.nan  # minimum of the objective
 
     @property
     def converged(self) -> bool:
@@ -191,13 +194,21 @@ def solve(meas: Measurements, geom: Geometry, mesh: MeasurementMesh,
     stacked system of ``stacked_system`` with ``x = [theta; phi]``, and each
     iteration costs one product ``M d``, one product ``r M`` and vector
     updates: the residual ``r`` follows the recurrence ``r += beta M d``.
-    The trace records that recurrence cost.  Before stopping as converged,
-    the solver recomputes the true residual ``rhs - M x``; if its cost is
-    not below ``epsilon`` the iteration goes on from it.  Non-finite cost
-    or gradients raise DivergenceError with the trace attached; hitting
-    max_iters returns the best iterate seen with status "not_converged".
-    The report's cost and gradient norms come from the true residual of
-    the returned iterate.
+    The trace records that recurrence cost.
+
+    When the recurrence cost drops below ``epsilon``, or to ``floor_tol``
+    (the ``cost_floor`` minimum plus ``8 sqrt(floor) nu + nu^2``, the
+    rounding of the cost near it, with ``nu = eps sqrt(m) |rhs|`` for
+    ``m`` rows), the solver recomputes the true residual ``rhs - M x``.  A
+    true cost below ``epsilon`` stops as "converged", else one at most
+    ``floor_tol`` stops as "floor" (``epsilon`` is unreachable), else the
+    iteration restarts along the true gradient.  A reachable ``epsilon``
+    lies above ``floor_tol``, so the floor never changes such runs.
+
+    Non-finite cost or gradients raise DivergenceError with the trace
+    attached; hitting max_iters returns the best iterate seen with status
+    "not_converged".  The report's cost and gradient norms come from the
+    true residual of the returned iterate.
     """
     if tables is None:
         tables = sensitivity_tables(geom, mesh, n_x, n_t, trunc)
@@ -207,6 +218,9 @@ def solve(meas: Measurements, geom: Geometry, mesh: MeasurementMesh,
     else:
         x = np.zeros(n_x + n_t)
     stacked, rhs = stacked_system(meas, obj_cfg, tables)
+    floor = cost_floor(stacked, rhs)
+    nu = np.finfo(float).eps * math.sqrt(rhs.size) * np.linalg.norm(rhs)
+    floor_tol = floor + 8.0 * math.sqrt(floor) * nu + nu * nu
 
     trace = IterationTrace()
     r = rhs - stacked @ x
@@ -250,16 +264,19 @@ def solve(meas: Measurements, geom: Geometry, mesh: MeasurementMesh,
         iterations = n + 1
         if current_cost < best_cost:
             best_x, best_cost = x, current_cost
-        if current_cost < solver_cfg.epsilon:
+        if current_cost < solver_cfg.epsilon or current_cost <= floor_tol:
             r = rhs - stacked @ x
             g = -2.0 * (r @ stacked)
             best_cost = float(r @ r)
             if best_cost < solver_cfg.epsilon:
                 status = "converged"
                 break
+            if best_cost <= floor_tol:
+                status = "floor"
+                break
             d = None
 
-    if status != "converged":
+    if status not in ("converged", "floor"):
         x = best_x
         r = rhs - stacked @ x
         g = -2.0 * (r @ stacked)
@@ -271,6 +288,7 @@ def solve(meas: Measurements, geom: Geometry, mesh: MeasurementMesh,
         grad_phi_norm=float(np.linalg.norm(g[n_x:])),
         grad_theta_norm=float(np.linalg.norm(g[:n_x])),
         stationarity=stationarity_check(params, meas, obj_cfg, tables),
+        cost_floor=floor,
     )
     return params, trace, report
 

@@ -97,3 +97,57 @@ def rmse_reference(exact_samples, recon_samples, intervals):
     for e, r in zip(exact_samples, recon_samples):
         acc += (e - r) ** 2
     return math.sqrt(acc / intervals)
+
+
+def exp_moment_stack_reference(max_power, lam_sq, t):
+    """The exp-moment stack as first written: forward recurrence with fresh
+    arrays per power, positive-term series below a = max(30, 2 * max_power).
+
+    The library evaluates the same arithmetic in place; the two must agree
+    bit for bit.
+    """
+    lam_sq = np.asarray(lam_sq, dtype=float)
+    t = np.asarray(t, dtype=float)
+    a = np.multiply.outer(lam_sq, t)
+    out = np.empty((max_power + 1,) + a.shape)
+    ls = lam_sq[:, None]
+    j = -np.expm1(-a) / ls
+    out[0] = j
+    t_pow = np.ones_like(t)
+    for p in range(1, max_power + 1):
+        t_pow = t_pow * t
+        j = (t_pow[None, :] - p * j) / ls
+        out[p] = j
+    small = a < max(30.0, 2.0 * max_power)
+    if np.any(small):
+        t_grid = np.broadcast_to(t, a.shape)
+        out[:, small] = _exp_moment_series_reference(max_power, a[small],
+                                                     t_grid[small])
+    return out
+
+
+def _exp_moment_series_reference(max_power, a, t):
+    powers = np.arange(max_power + 1, dtype=float)
+    acc = np.zeros((max_power + 1, a.size))
+    term = np.ones_like(a)  # a^j / j!
+    limit = int(a.max(initial=0.0)) + 80
+    for j in range(limit):
+        acc += term[None, :] / (powers[:, None] + 1.0 + j)
+        if term.max(initial=0.0) < 1e-20:
+            break
+        term = term * a / (j + 1.0)
+    damp = np.exp(-a)
+    out = np.empty_like(acc)
+    t_pow = t.copy()  # t^(p+1)
+    for p in range(max_power + 1):
+        out[p] = t_pow * damp * acc[p]
+        t_pow = t_pow * t
+    return out
+
+
+def svd_cost_floor(stacked, rhs):
+    """Minimum of |rhs - M x|^2 from a full-rank SVD solve: lstsq with
+    rcond=1e-18 keeps every singular value of the stacked systems here."""
+    solution = np.linalg.lstsq(stacked, rhs, rcond=1e-18)[0]
+    residual = rhs - stacked @ solution
+    return float(residual @ residual)

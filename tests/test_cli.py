@@ -256,6 +256,17 @@ class TestMain:
         header = (tmp_path / "flagged_final_by_initial.csv").read_text().splitlines()[0]
         assert len(header.split(",")) == 4
 
+    def test_unreachable_epsilon_stops_at_floor(self, tmp_path):
+        code = main(["invert", "--n_x", "6", "--n_t", "5", "--noise_level",
+                     "0.01", "--epsilon", "1e-14", "--outdir", str(tmp_path),
+                     "--run_id", "noisy"])
+        assert code == EXIT_NOT_CONVERGED
+        summary = read_summary(tmp_path / "noisy_summary.txt")
+        assert summary["status"] == "floor"
+        assert summary["converged"] == "false"
+        assert float(summary["final_cost"]) == pytest.approx(
+            float(summary["cost_floor"]), rel=1e-10)
+
     @pytest.mark.parametrize("argv, code", [
         (["sweep", "--sweep_alpha", "abc"], EXIT_INVALID_CONFIG),
         (["sweep", "--sweep_n", "0x5"], EXIT_INVALID_CONFIG),

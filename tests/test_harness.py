@@ -259,6 +259,15 @@ class TestSweep:
         assert not any(r.status.startswith("error") for r in reports)
         assert len(calls) == 4
 
+    def test_default_cells_iteration_counts(self, example1):
+        # Their epsilon (1e-3) is reachable: the floor stop never fires and
+        # the counts are those of the plain epsilon rule.
+        reports = sweep(example1, default_sweep_cells(), SolverConfig(),
+                        i_x=100, i_t=100)
+        assert [r.iterations for r in reports] == [11, 10, 8, 8, 13,
+                                                   39, 39, 37, 50, 74]
+        assert all(r.status == "converged" for r in reports)
+
     def test_cell_failure_is_recorded_not_raised(self, example1):
         cells = [SweepCell(n_x=6, n_t=5, x_star=2.97, alpha=-1.0),
                  SweepCell(n_x=3, n_t=2, x_star=2.97, alpha=1e-6)]

@@ -8,8 +8,9 @@ from heatsource.errors import DomainError, TruncationWarning
 from heatsource.kernels import (DEFAULT_TRUNCATION, TruncationPolicy,
                                 exp_moment, exp_moment_stack, greens_function,
                                 sine_moment, sine_moment_stack, source_kernel)
-from oracles import (mp_exp_moment, mp_sine_moment, quad_exp_moment,
-                     quad_sine_moment, reference_green)
+from oracles import (exp_moment_stack_reference, mp_exp_moment,
+                     mp_sine_moment, quad_exp_moment, quad_sine_moment,
+                     reference_green)
 from scipy import integrate
 
 L = 2.0 * math.pi
@@ -209,6 +210,46 @@ class TestExpMoment:
             for i, c in enumerate(lam_sq):
                 for j, t in enumerate(ts):
                     assert stack[p, i, j] == exp_moment(p + 1, float(c), float(t))
+
+    def test_stack_bitwise_equals_reference_on_model_inputs(self,
+                                                            monkeypatch):
+        # Every stack the table builders ask for, on the rods, meshes and
+        # sizes the commands use, equals the out-of-place formula bit for
+        # bit (so tables, CSVs and solver paths do not move).
+        from heatsource import model
+        from heatsource.harness import get_case, sensitivity_demo_geometry
+
+        calls = []
+
+        def recording(max_power, lam_sq, t):
+            got = exp_moment_stack(max_power, lam_sq, t)
+            calls.append((max_power, lam_sq.size, t.size))
+            ref = exp_moment_stack_reference(max_power, lam_sq, t)
+            assert np.array_equal(got, ref), (max_power, lam_sq.size, t.size)
+            return got
+
+        monkeypatch.setattr(model, "exp_moment_stack", recording)
+        rods = [(get_case("example1").geometry, (20, 25, 100, 1000),
+                 ((6, 5), (12, 9))),
+                (get_case("polynomial").geometry, (20, 50, 100),
+                 ((3, 2), (12, 9), (16, 16))),
+                (sensitivity_demo_geometry(), (30, 2000), ((6, 5), (12, 9)))]
+        for geom, meshes, sizes in rods:
+            for nodes in meshes:
+                mesh = model.MeasurementMesh.regular(geom, nodes, nodes)
+                for n_x, n_t in sizes:
+                    model.rod_tables(geom, mesh, n_x, n_t, TR)
+        assert len(calls) == 2 * sum(len(m) * len(s) for _, m, s in rods)
+
+    def test_stack_bitwise_equals_reference_on_random_inputs(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            max_power = int(rng.integers(0, 20))
+            lam_sq = np.exp(rng.uniform(-3.0, 9.0, int(rng.integers(1, 40))))
+            ts = rng.uniform(0.0, 3.0, int(rng.integers(1, 40)))
+            assert np.array_equal(exp_moment_stack(max_power, lam_sq, ts),
+                                  exp_moment_stack_reference(max_power,
+                                                             lam_sq, ts))
 
     def test_validation(self):
         with pytest.raises(ValueError):

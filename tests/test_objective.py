@@ -9,7 +9,9 @@ from heatsource.model import (Geometry, MeasurementMesh, PolyParams,
                               eval_u_final, eval_u_interior,
                               sensitivity_tables)
 from heatsource.objective import (Measurements, ObjectiveConfig, cost,
-                                  gradient, ridge_solve)
+                                  cost_floor, gradient, ridge_solve,
+                                  stacked_system)
+from oracles import svd_cost_floor
 
 TR = TruncationPolicy()
 
@@ -223,3 +225,64 @@ class TestRidgeSolve:
         e_u0 = math.sqrt(float(u0_err @ u0_err) / mesh.i_x)
         assert 1e-4 < e_f < 2e-2
         assert 1e-3 < e_u0 < 9e-2
+
+
+class TestCostFloor:
+    SENSORS = (-1.34, -0.17, 0.99, 2.15, 2.97)
+
+    @staticmethod
+    def _systems(n_x, n_t, sensors):
+        from heatsource.harness import generate_measurements, get_case
+        from heatsource.model import rod_tables
+
+        case = get_case("example1")
+        mesh = MeasurementMesh.regular(case.geometry, 100, 100)
+        layer = rod_tables(case.geometry, mesh, n_x, n_t, TR)
+        for x_star in sensors:
+            tables = layer.at_sensor(x_star)
+            for noise in (0.0, 0.01):
+                meas = generate_measurements(case.with_sensor(x_star), mesh,
+                                             noise_level=noise, seed=42)
+                for alpha in (1e-10, 1e-6, 1e-2):
+                    cfg = ObjectiveConfig(alpha=alpha)
+                    yield (x_star, noise, alpha), meas, cfg, tables
+
+    def test_matches_full_rank_svd_floor_at_6x5(self):
+        # Worst measured: 1.7e-11 (x*=2.97, noiseless, alpha=1e-10).
+        for key, meas, cfg, tables in self._systems(6, 5, self.SENSORS):
+            stacked, rhs = stacked_system(meas, cfg, tables)
+            floor = cost_floor(stacked, rhs)
+            assert floor == pytest.approx(svd_cost_floor(stacked, rhs),
+                                          rel=1e-10), key
+
+    def test_agrees_with_svd_floor_to_ppm_at_12x9(self):
+        # The monomial 12x9 system has condition number ~7e13, so a
+        # rounding-level change of M turns its column space enough to move
+        # the floor: QR and SVD agree only to 7.5e-6 (x*=2.97, noiseless,
+        # alpha=1e-10), not to the 1e-11 of 6x5.
+        for key, meas, cfg, tables in self._systems(12, 9, (2.97,)):
+            stacked, rhs = stacked_system(meas, cfg, tables)
+            floor = cost_floor(stacked, rhs)
+            assert floor == pytest.approx(svd_cost_floor(stacked, rhs),
+                                          rel=1e-5), key
+
+    def test_no_candidate_costs_less_at_6x5(self):
+        # Up to the rounding of evaluating the cost near the floor: the
+        # solver's floor_tol.  (At 12x9 the floor itself is uncertain to
+        # ~1e-5 relative, see above.)
+        rng = np.random.default_rng(5)
+        n_x, n_t = 6, 5
+        for key, meas, cfg, tables in self._systems(n_x, n_t, self.SENSORS):
+            stacked, rhs = stacked_system(meas, cfg, tables)
+            floor = cost_floor(stacked, rhs)
+            nu = (np.finfo(float).eps * math.sqrt(rhs.size)
+                  * np.linalg.norm(rhs))
+            floor_tol = floor + 8.0 * math.sqrt(floor) * nu + nu * nu
+            best = ridge_solve(meas, cfg, tables)
+            candidates = [best] + [
+                PolyParams(phi=best.phi + 1e-6 * rng.standard_normal(n_t),
+                           theta=best.theta + 1e-6 * rng.standard_normal(n_x))
+                for _ in range(5)]
+            for params in candidates:
+                assert cost(params, meas, cfg, tables) >= 2.0 * floor \
+                    - floor_tol, key

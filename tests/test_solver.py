@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from heatsource.errors import DegenerateDirectionError, DivergenceError
-from heatsource.harness import generate_measurements, get_case
+from heatsource.harness import generate_measurements, get_case, rmse_report
 from heatsource.kernels import TruncationPolicy
 from heatsource.model import (Geometry, MeasurementMesh, PolyParams,
                               sensitivity_tables)
 from heatsource.objective import (Measurements, ObjectiveConfig, cost,
-                                  gradient, residuals, ridge_solve)
+                                  gradient, residuals, ridge_solve,
+                                  stacked_system)
 from heatsource.solver import (IterationTrace, SolverConfig, solve,
                                stationarity_check)
-from oracles import golden_minimize
+from oracles import golden_minimize, svd_cost_floor
 
 TR = TruncationPolicy()
 
@@ -224,12 +225,17 @@ class TestSolve:
         assert np.max(np.abs(params.theta - oracle.theta)) <= 1e-4
 
     def test_agrees_with_direct_solver(self, example_problem):
+        # epsilon=1e-12 lies below the attainable cost (~1.7e-4), so the
+        # run stops at the floor (after 60 iterations), not at the cap
         geom, mesh, tables, meas = example_problem
         cfg = ObjectiveConfig(alpha=1e-6)
         oracle = ridge_solve(meas, cfg, tables)
-        params, _, _ = solve(meas, geom, mesh, 6, 5, cfg,
-                             SolverConfig(epsilon=1e-12, max_iters=12_000),
-                             tables=tables)
+        params, _, report = solve(
+            meas, geom, mesh, 6, 5, cfg,
+            SolverConfig(epsilon=1e-12, max_iters=12_000), tables=tables)
+        assert report.status == "floor" and not report.converged
+        assert report.iterations <= 100
+        assert report.final_cost <= report.cost_floor * (1.0 + 1e-10)
         assert np.max(np.abs(params.phi - oracle.phi)) <= 1e-4
         assert np.max(np.abs(params.theta - oracle.theta)) <= 1e-4
 
@@ -378,19 +384,30 @@ class TestRoundingStability:
     @pytest.mark.parametrize("alpha", np.geomspace(1e-8, 1e-2, 7),
                              ids=lambda a: f"{a:.0e}")
     def test_noisy_run_ends_at_the_direct_minimum(self, alpha):
-        # epsilon lies below the attainable cost, so the run goes to the
-        # cap and must end at the exact minimizer's cost
+        # epsilon lies below the attainable cost, so the run stops at the
+        # floor, well before the cap (36-74 iterations; it took all 1500
+        # before the floor stop), at the exact minimizer's cost and errors
         case = get_case("example1").with_sensor(2.97)
         geom = case.geometry
         mesh = MeasurementMesh.regular(geom, 100, 100)
         meas = generate_measurements(case, mesh, noise_level=0.01, seed=42)
         tables = sensitivity_tables(geom, mesh, 6, 5, TR)
         cfg = ObjectiveConfig(alpha=alpha)
-        _, _, report = solve(meas, geom, mesh, 6, 5, cfg,
-                             SolverConfig(epsilon=1e-14, max_iters=1500),
-                             tables=tables)
-        floor = cost(ridge_solve(meas, cfg, tables), meas, cfg, tables)
+        params, _, report = solve(meas, geom, mesh, 6, 5, cfg,
+                                  SolverConfig(epsilon=1e-14, max_iters=1500),
+                                  tables=tables)
+        assert report.status == "floor"
+        assert report.iterations <= 150
+        stacked, rhs = stacked_system(meas, cfg, tables)
+        floor = svd_cost_floor(stacked, rhs)
         assert report.final_cost == pytest.approx(floor, rel=1e-10)
+        assert report.cost_floor == pytest.approx(floor, rel=1e-10)
+        exact = np.linalg.lstsq(stacked, rhs, rcond=1e-18)[0]
+        exact = PolyParams(phi=exact[6:], theta=exact[:6])
+        got = rmse_report(case, params, mesh)
+        want = rmse_report(case, exact, mesh)
+        assert got.e_f == pytest.approx(want.e_f, rel=1e-5)
+        assert got.e_u0 == pytest.approx(want.e_u0, rel=1e-5)
 
 
 class TestStationarityCheck:
