@@ -296,29 +296,33 @@ def sweep(case: ManufacturedCase, cells, solver_cfg: SolverConfig,
           seed: int = 42, trunc: TruncationPolicy = DEFAULT_TRUNCATION):
     """Run one inversion per cell and return the reports in cell order.
 
-    Cells of one size share one sensor-independent table layer, and cells
-    that differ only in alpha share one set of response tables.  Per-cell
-    failures are recorded in the report's status and do not stop the sweep.
+    Cells of one size share one sensor-independent table layer and one
+    history build for all their sensors, and cells that differ only in
+    alpha share one set of response tables.  Per-cell failures are
+    recorded in the report's status and do not stop the sweep.
     After the run, the sensor-position trend of the initial-profile error
     is checked per size and alpha over two or more sensors and logged (soft
     observation, never a failure).
     """
     cells = list(cells)
     reports = []
-    rods = {}  # (n_x, n_t) -> RodTables
     tables = {}  # (x_star, n_x, n_t) -> SensitivityTables
     for cell in cells:
         try:
             cell_case = case.with_sensor(cell.x_star)
             key = (cell.x_star, cell.n_x, cell.n_t)
             if key not in tables:
-                size = (cell.n_x, cell.n_t)
-                if size not in rods:
-                    geom = cell_case.geometry
-                    rods[size] = rod_tables(
-                        geom, MeasurementMesh.regular(geom, i_x, i_t),
-                        cell.n_x, cell.n_t, trunc)
-                tables[key] = rods[size].at_sensor(cell.x_star)
+                # One layer and one history build per size, for all its
+                # sensors that lie in the rod; the others fail above.
+                geom = cell_case.geometry
+                sensors = list(dict.fromkeys(
+                    c.x_star for c in cells
+                    if (c.n_x, c.n_t) == (cell.n_x, cell.n_t)
+                    and geom.offset < c.x_star < geom.offset + geom.length))
+                rod = rod_tables(geom, MeasurementMesh.regular(geom, i_x, i_t),
+                                 cell.n_x, cell.n_t, trunc)
+                for x_star, built in zip(sensors, rod.at_sensors(sensors)):
+                    tables[(x_star, cell.n_x, cell.n_t)] = built
             result = invert_case(
                 cell_case, cell.n_x, cell.n_t,
                 ObjectiveConfig(alpha=cell.alpha), solver_cfg,
@@ -366,7 +370,7 @@ def emit_sensitivity_data(geom: Geometry, n_x: int, n_t: int,
     index 1 on.  Returns the four paths.
     """
     rod = rod_tables(geom, mesh, n_x, n_t, trunc)
-    tables = rod.at_sensor(geom.sensor)
+    [tables] = rod.at_sensors([geom.sensor])
     outdir = Path(outdir)
     ts = mesh.t_interior
     x_phys = geom.to_physical(mesh.x_nodes)

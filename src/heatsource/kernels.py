@@ -25,6 +25,7 @@ __all__ = [
     "sine_moment",
     "exp_moment",
     "sine_moment_stack",
+    "exp_moment_rows",
     "exp_moment_stack",
     "mode_count",
     "sin_modes",
@@ -86,11 +87,22 @@ def sin_modes(x, length: float, modes: np.ndarray) -> np.ndarray:
     y = np.multiply.outer(np.asarray(x, dtype=float) / length, modes)
     r = np.round(y)
     frac = y - r
+    odd = r.astype(np.int64)
+    odd &= 1
     # Snap fractional parts indistinguishable from argument rounding to 0.
-    dust = np.abs(frac) <= 8.0 * _EPS * np.maximum(1.0, np.abs(y))
-    frac = np.where(dust, 0.0, frac)
-    sign = 1.0 - 2.0 * (r.astype(np.int64) & 1)
-    return sign * np.sin(np.pi * frac)
+    # Each step reuses a buffer: y becomes the tolerance, r holds |frac|
+    # and then the sign.
+    np.abs(y, out=y)
+    np.maximum(y, 1.0, out=y)
+    np.multiply(y, 8.0 * _EPS, out=y)
+    np.abs(frac, out=r)
+    np.copyto(frac, 0.0, where=r <= y)
+    np.multiply(odd, -2.0, out=r)
+    np.add(r, 1.0, out=r)
+    np.multiply(frac, np.pi, out=frac)
+    np.sin(frac, out=frac)
+    np.multiply(r, frac, out=r)
+    return r
 
 
 def _check_coordinate(value, length, name):
@@ -173,38 +185,55 @@ def sine_moment(m: int, n: int, length: float) -> float:
 _SERIES_SWITCH_BASE = 30.0
 
 
-def exp_moment_stack(max_power: int, lam_sq, t) -> np.ndarray:
-    """J_p = integral of tau^p * exp(-lam_sq*(t - tau)) over [0, t] for
-    p = 0..max_power on the outer (lam_sq, t) grid.
+def exp_moment_rows(max_power: int, lam_sq, t):
+    """Yield (p, J_p) for p = 0..max_power, where J_p = integral of
+    tau^p * exp(-lam_sq*(t - tau)) over [0, t] on the outer (lam_sq, t)
+    grid, shape (len(lam_sq), len(t)).
 
     The forward recurrence J_p = (t^p - p*J_{p-1})/lam_sq is stable once
     a = lam_sq*t is well above p, but cancels catastrophically below that;
     small arguments switch to the positive-term series
     J_p = t^(p+1) * exp(-a) * sum_j a^j / (j! * (p+1+j)).
 
-    Returns an array of shape (max_power + 1, len(lam_sq), len(t)).
+    Every J_p is the same reused buffer: consume it before the next step.
     """
     lam_sq = np.asarray(lam_sq, dtype=float)
     t = np.asarray(t, dtype=float)
     a = np.multiply.outer(lam_sq, t)
-    out = np.empty((max_power + 1,) + a.shape)
-    ls = lam_sq[:, None]
-    # The recurrence writes each J_p in place: no temporaries.
-    np.negative(a, out=out[0])
-    np.expm1(out[0], out=out[0])
-    np.negative(out[0], out=out[0])
-    np.divide(out[0], ls, out=out[0])
-    t_pow = np.ones_like(t)
-    for p in range(1, max_power + 1):
-        t_pow = t_pow * t
-        np.multiply(out[p - 1], p, out=out[p])
-        np.subtract(t_pow, out[p], out=out[p])
-        np.divide(out[p], ls, out=out[p])
     switch = max(_SERIES_SWITCH_BASE, 2.0 * max_power)
     small = a < switch
+    series = None
     if np.any(small):
         t_grid = np.broadcast_to(t, a.shape)
-        out[:, small] = _exp_moment_series(max_power, a[small], t_grid[small])
+        series = _exp_moment_series(max_power, a[small], t_grid[small])
+    ls = lam_sq[:, None]
+    # The recurrence runs in place in a's storage.  The small entries carry
+    # series values into the next step, which overwrites them again.
+    j = a
+    np.negative(j, out=j)
+    np.expm1(j, out=j)
+    np.negative(j, out=j)
+    np.divide(j, ls, out=j)
+    t_pow = np.ones_like(t)
+    for p in range(max_power + 1):
+        if p:
+            t_pow = t_pow * t
+            np.multiply(j, p, out=j)
+            np.subtract(t_pow, j, out=j)
+            np.divide(j, ls, out=j)
+        if series is not None:
+            j[small] = series[p]
+        yield p, j
+
+
+def exp_moment_stack(max_power: int, lam_sq, t) -> np.ndarray:
+    """All of :func:`exp_moment_rows` at once: an array of shape
+    (max_power + 1, len(lam_sq), len(t))."""
+    lam_sq = np.asarray(lam_sq, dtype=float)
+    t = np.asarray(t, dtype=float)
+    out = np.empty((max_power + 1, lam_sq.size, t.size))
+    for p, j in exp_moment_rows(max_power, lam_sq, t):
+        out[p] = j
     return out
 
 

@@ -20,6 +20,7 @@ from .errors import DomainError, ShapeMismatchError, TruncationWarning
 from .kernels import (
     DEFAULT_TRUNCATION,
     TruncationPolicy,
+    exp_moment_rows,
     exp_moment_stack,
     mode_count,
     sin_modes,
@@ -193,7 +194,7 @@ def theta_response_history(x: float, ts, length: float, n_theta: int,
                            trunc: TruncationPolicy) -> np.ndarray:
     """Responses of u(x, t) to each initial-profile coefficient, at one x for
     many times.  Shape (len(ts), n_theta)."""
-    return _theta_history(ts, length, n_theta, trunc)(x)
+    return _theta_history(ts, length, n_theta, trunc)([x])[0]
 
 
 def _history_times(ts) -> np.ndarray:
@@ -204,15 +205,19 @@ def _history_times(ts) -> np.ndarray:
 
 
 def _theta_history(ts, length: float, n_theta: int, trunc: TruncationPolicy):
-    """The theta history as a function of the point x.  Its modes, moment
-    weights and exp(-lam^2 t) decay matrix do not depend on x."""
+    """The theta history as a function mapping a list of points x to their
+    tables.  Its modes and moment weights do not depend on x; each call
+    builds the exp(-lam^2 t) decay matrix once for all its points."""
     ts = _history_times(ts)
     modes = _theta_modes(n_theta, float(ts.min()), length, trunc)
     lam = (math.pi / length) * modes
     weights = sine_moment_stack(n_theta - 1, modes, length)
-    decay = np.exp(-np.multiply.outer(ts, lam * lam))
-    return lambda x: (2.0 / length * (decay * sin_modes(x, length, modes))
-                      @ weights.T)
+
+    def at(xs):
+        decay = np.exp(-np.multiply.outer(ts, lam * lam))
+        return [2.0 / length * (decay * sin_modes(x, length, modes))
+                @ weights.T for x in xs]
+    return at
 
 
 def _bump(x, length):
@@ -263,14 +268,14 @@ def _phi_modes(n_phi: int, t_min: float, t_max: float, length: float,
 
 
 def _phi_assemble(head: np.ndarray, ts, d0, d1, n_phi: int) -> np.ndarray:
-    """head[:, k-1] + t^(k-1) d0 - (k-1) t^(k-2) d1 column by column."""
-    out = np.array(head)
-    out[:, 0] += d0
+    """head[:, k-1] + t^(k-1) d0 - (k-1) t^(k-2) d1 column by column,
+    added to ``head`` in place."""
+    head[:, 0] += d0
     t_pow = np.ones_like(ts)  # t^(k-2) for the current k
     for k in range(2, n_phi + 1):
-        out[:, k - 1] += t_pow * (ts * d0 - (k - 1) * d1)
+        head[:, k - 1] += t_pow * (ts * d0 - (k - 1) * d1)
         t_pow = t_pow * ts
-    return out
+    return head
 
 
 def phi_response_profile(xs, t: float, length: float, n_phi: int,
@@ -294,23 +299,35 @@ def phi_response_history(x: float, ts, length: float, n_phi: int,
                          trunc: TruncationPolicy) -> np.ndarray:
     """Responses of u(x, t) to each source coefficient, at one x for many
     times.  Shape (len(ts), n_phi)."""
-    return _phi_history(ts, length, n_phi, trunc)(x)
+    return _phi_history(ts, length, n_phi, trunc)([x])[0]
 
 
 def _phi_history(ts, length: float, n_phi: int, trunc: TruncationPolicy):
-    """The phi history as a function of the point x.  Its odd modes and
-    their exp-moment stack do not depend on x."""
+    """The phi history as a function mapping a list of points x to their
+    tables.  Each call runs the exp-moment recurrence of the odd modes once
+    and contracts every J_p with all its points as it is produced, so the
+    (n_phi, modes, times) stack never exists."""
     ts = _history_times(ts)
     modes = _phi_modes(n_phi, float(ts.min()), float(ts.max()), length, trunc)
     lam = (math.pi / length) * modes
-    stack = exp_moment_stack(n_phi - 1, lam * lam, ts)
 
-    def at(x):
-        sx = sin_modes(x, length, modes)
-        head = 4.0 / length * np.einsum("n,pnj->jp", sx / lam, stack)
-        d0 = float(_bump(x, length) - 4.0 / length * np.dot(sx, 1.0 / lam**3))
-        d1 = float(_bump2(x, length) - 4.0 / length * np.dot(sx, 1.0 / lam**5))
-        return _phi_assemble(head, ts, d0, d1, n_phi)
+    def at(xs):
+        sx = sin_modes(xs, length, modes)
+        weights = sx / lam
+        # Heads in the Fortran layout of einsum("n,pnj->jp"): predict's
+        # matrix products sum in an order that depends on it.
+        heads = [np.empty((n_phi, ts.size)).T for _ in xs]
+        for p, moment in exp_moment_rows(n_phi - 1, lam * lam, ts):
+            rows = np.einsum("sn,nj->sj", weights, moment)
+            for head, row in zip(heads, rows):
+                head[:, p] = 4.0 / length * row
+        tables = []
+        for x, s, head in zip(xs, sx, heads):
+            d0 = _bump(x, length) - 4.0 / length * np.dot(s, 1.0 / lam**3)
+            d1 = _bump2(x, length) - 4.0 / length * np.dot(s, 1.0 / lam**5)
+            tables.append(_phi_assemble(head, ts, float(d0), float(d1),
+                                        n_phi))
+        return tables
     return at
 
 
@@ -328,6 +345,11 @@ class SensitivityTables:
     history response at t_j; ``penalty_*`` are the plain monomial values
     entering the regularization sums.  Computed once per problem and shared
     read-only afterwards.
+
+    The memory layout of each table is part of the result: ``predict`` and
+    the solvers multiply by these arrays through BLAS, whose summation
+    order depends on it, so the same values in another layout can move
+    downstream bits.  ``sensor_phi`` is Fortran-ordered.
     """
 
     geom: Geometry
@@ -362,9 +384,11 @@ class RodTables:
     """The sensor-independent layer of the response tables of one rod, mesh,
     coefficient counts and truncation policy (``geom.sensor`` plays no
     part).  ``final_*`` cover every spatial node, boundary rows included.
-    ``theta_history`` and ``phi_history`` hold the modes, moment weights,
-    decay matrix and exp-moment stack, and map a shifted sensor position to
-    its history tables; ``at_sensor`` assembles the tables of one sensor."""
+    ``theta_history`` and ``phi_history`` hold the modes and moment weights
+    and map a list of shifted sensor positions to their history tables;
+    each call streams the time-by-mode work once for all its sensors, so
+    the layer itself holds no times-by-modes array.  ``at_sensors``
+    assembles the tables of a list of sensors."""
 
     geom: Geometry
     mesh: MeasurementMesh
@@ -378,14 +402,18 @@ class RodTables:
     theta_history: callable
     phi_history: callable
 
-    def at_sensor(self, x_star: float) -> SensitivityTables:
-        """The response tables with the sensor at physical ``x_star``."""
-        geom = self.geom.with_sensor(x_star)
-        x = geom.sensor_shifted
-        return SensitivityTables(
-            geom, self.mesh, self.n_x, self.n_t, self.trunc,
-            self.final_theta[1:], self.final_phi[1:], self.theta_history(x),
-            self.phi_history(x), self.penalty_x, self.penalty_t)
+    def at_sensors(self, x_stars) -> list:
+        """The response tables with the sensor at each physical position in
+        ``x_stars``, in order.  Raises DomainError if any lies outside the
+        rod."""
+        geoms = [self.geom.with_sensor(x) for x in x_stars]
+        xs = [geom.sensor_shifted for geom in geoms]
+        return [SensitivityTables(
+                    geom, self.mesh, self.n_x, self.n_t, self.trunc,
+                    self.final_theta[1:], self.final_phi[1:], theta, phi,
+                    self.penalty_x, self.penalty_t)
+                for geom, theta, phi in zip(geoms, self.theta_history(xs),
+                                            self.phi_history(xs))]
 
 
 def rod_tables(geom: Geometry, mesh: MeasurementMesh, n_x: int, n_t: int,
@@ -396,17 +424,16 @@ def rod_tables(geom: Geometry, mesh: MeasurementMesh, n_x: int, n_t: int,
     xs, ts, length = mesh.x_interior, mesh.t_interior, geom.length
     final_theta = theta_response_profile(xs, geom.t_final, length, n_x, trunc)
     final_phi = phi_response_profile(xs, geom.t_final, length, n_t, trunc)
-    # The phi stack comes first, so the theta decay matrix is not alive
-    # beside its temporaries.  Row 0 (the left rod end) is exactly zero; the
-    # data rows are built without it, as BLAS may sum a row in an order that
-    # depends on the row count.
-    phi_history = _phi_history(ts, length, n_t, trunc)
+    # Row 0 (the left rod end) is exactly zero; the data rows are built
+    # without it, as BLAS may sum a row in an order that depends on the row
+    # count.
     return RodTables(geom, mesh, n_x, n_t, trunc,
                      np.vstack([np.zeros(n_x), final_theta]),
                      np.vstack([np.zeros(n_t), final_phi]),
                      npoly.polyvander(xs, n_x - 1),
                      npoly.polyvander(ts, n_t - 1),
-                     _theta_history(ts, length, n_x, trunc), phi_history)
+                     _theta_history(ts, length, n_x, trunc),
+                     _phi_history(ts, length, n_t, trunc))
 
 
 def sensitivity_tables(geom: Geometry, mesh: MeasurementMesh, n_x: int,
@@ -414,7 +441,7 @@ def sensitivity_tables(geom: Geometry, mesh: MeasurementMesh, n_x: int,
                        trunc: TruncationPolicy = DEFAULT_TRUNCATION
                        ) -> SensitivityTables:
     """Build the four response tables and the penalty monomial tables."""
-    return rod_tables(geom, mesh, n_x, n_t, trunc).at_sensor(geom.sensor)
+    return rod_tables(geom, mesh, n_x, n_t, trunc).at_sensors([geom.sensor])[0]
 
 
 # ---------------------------------------------------------------------------

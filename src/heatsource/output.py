@@ -10,6 +10,8 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+import numpy as np
+
 from .errors import HeatSourceError
 
 
@@ -37,10 +39,24 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def write_csv(path, header, rows) -> Path:
-    """Write a CSV table; every row must match the header length."""
+    """Write a CSV table; every row must match the header length.
+
+    A 2-d float64 array is formatted in one pass; other rows (which may mix
+    strings, integers and floats) value by value, to the same text.
+    """
     path = Path(path)
     lines = [",".join(header)]
     width = len(header)
+    if (isinstance(rows, np.ndarray) and rows.ndim == 2
+            and rows.dtype == np.float64):
+        if rows.shape[0]:
+            if rows.shape[1] != width:
+                raise ValueError(f"row width {rows.shape[1]} != header "
+                                 f"width {width} for {path}")
+            row_format = ",".join(["%.9e"] * width)
+            lines.append("\n".join([row_format] * rows.shape[0])
+                         % tuple(rows.ravel().tolist()))
+        rows = ()
     for row in rows:
         row = list(row)
         if len(row) != width:

@@ -145,6 +145,48 @@ def _exp_moment_series_reference(max_power, a, t):
     return out
 
 
+def sin_modes_reference(x, length, modes):
+    """sin(n pi x / L) per mode as first written, with fresh arrays per
+    step.  The library evaluates the same arithmetic in reused buffers; the
+    two must agree bit for bit, signed zeros included."""
+    y = np.multiply.outer(np.asarray(x, dtype=float) / length, modes)
+    r = np.round(y)
+    frac = y - r
+    eps = float(np.finfo(float).eps)
+    dust = np.abs(frac) <= 8.0 * eps * np.maximum(1.0, np.abs(y))
+    frac = np.where(dust, 0.0, frac)
+    sign = 1.0 - 2.0 * (r.astype(np.int64) & 1)
+    return sign * np.sin(np.pi * frac)
+
+
+def phi_history_reference(ts, length, n_phi, modes):
+    """The source-response history as first written, as a function of the
+    shifted point x: the whole (n_phi, modes, times) exp-moment stack of
+    the odd ``modes``, contracted with one einsum per point.
+
+    The library streams the stack one power at a time; its tables must
+    equal these bit for bit and keep their (Fortran) layout.
+    """
+    lam = (math.pi / length) * modes
+    stack = exp_moment_stack_reference(n_phi - 1, lam * lam, ts)
+
+    def at(x):
+        sx = sin_modes_reference(x, length, modes)
+        head = 4.0 / length * np.einsum("n,pnj->jp", sx / lam, stack)
+        d0 = float(x * (length - x) / 2.0
+                   - 4.0 / length * np.dot(sx, 1.0 / lam**3))
+        d1 = float(x * (length - x) * (length * length + length * x - x * x)
+                   / 24.0 - 4.0 / length * np.dot(sx, 1.0 / lam**5))
+        out = np.array(head)
+        out[:, 0] += d0
+        t_pow = np.ones_like(ts)  # t^(k-2) for the current k
+        for k in range(2, n_phi + 1):
+            out[:, k - 1] += t_pow * (ts * d0 - (k - 1) * d1)
+            t_pow = t_pow * ts
+        return out
+    return at
+
+
 def svd_cost_floor(stacked, rhs):
     """Minimum of |rhs - M x|^2 from a full-rank SVD solve: lstsq with
     rcond=1e-18 keeps every singular value of the stacked systems here."""

@@ -212,18 +212,18 @@ class TestSweep:
 
         built, contracted, rebuilt = [], [], []
         real_build = harness.rod_tables
-        real_contract = model.RodTables.at_sensor
+        real_contract = model.RodTables.at_sensors
 
         def counting_build(geom, mesh, n_x, n_t, *args, **kwargs):
             built.append((n_x, n_t))
             return real_build(geom, mesh, n_x, n_t, *args, **kwargs)
 
-        def counting_contract(rod, x_star):
-            contracted.append((x_star, rod.n_x, rod.n_t))
-            return real_contract(rod, x_star)
+        def counting_contract(rod, x_stars):
+            contracted.append((tuple(x_stars), rod.n_x, rod.n_t))
+            return real_contract(rod, x_stars)
 
         monkeypatch.setattr(harness, "rod_tables", counting_build)
-        monkeypatch.setattr(model.RodTables, "at_sensor", counting_contract)
+        monkeypatch.setattr(model.RodTables, "at_sensors", counting_contract)
         monkeypatch.setattr(solver, "sensitivity_tables",
                             lambda geom, *args: rebuilt.append(geom.sensor))
         cells = [SweepCell(n_x=4, n_t=3, x_star=x, alpha=a)
@@ -231,7 +231,7 @@ class TestSweep:
         cfg = SolverConfig(max_iters=50)
         reports = sweep(example1, cells, cfg, i_x=25, i_t=25)
         assert built == [(4, 3)]
-        assert contracted == [(-0.17, 4, 3), (2.97, 4, 3)]
+        assert contracted == [((-0.17, 2.97), 4, 3)]
         assert rebuilt == []
         monkeypatch.undo()
         alone = invert_case(example1.with_sensor(2.97), 4, 3,
@@ -242,22 +242,59 @@ class TestSweep:
     def test_sensors_of_one_size_share_one_layer(self, example1,
                                                  monkeypatch):
         # Per size, the layer computes the moment stack of the final profile
-        # and that of the sensor history; the five sensors add none.
+        # and streams one recurrence for the histories of all five sensors.
         from heatsource import model
 
-        calls = []
-        real = model.exp_moment_stack
+        stacks, streams = [], []
+        real_stack, real_rows = model.exp_moment_stack, model.exp_moment_rows
 
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return real(*args, **kwargs)
+        def counting_stack(*args, **kwargs):
+            stacks.append(args[0])
+            return real_stack(*args, **kwargs)
 
-        monkeypatch.setattr(model, "exp_moment_stack", counting)
+        def counting_rows(*args, **kwargs):
+            streams.append(args[0])
+            return real_rows(*args, **kwargs)
+
+        monkeypatch.setattr(model, "exp_moment_stack", counting_stack)
+        monkeypatch.setattr(model, "exp_moment_rows", counting_rows)
         reports = sweep(example1, default_sweep_cells(),
                         SolverConfig(max_iters=20), i_x=20, i_t=20)
         assert len(reports) == 10
         assert not any(r.status.startswith("error") for r in reports)
-        assert len(calls) == 4
+        assert stacks == [4, 8]
+        assert streams == [4, 8]
+
+    def test_sensor_outside_the_rod_fails_alone(self, example1, monkeypatch):
+        # The out-of-rod cell fails with the geometry's message; the others
+        # of its size share one history build and run as they would alone.
+        from heatsource import model
+        from heatsource.errors import DomainError
+
+        contracted = []
+        real_contract = model.RodTables.at_sensors
+
+        def counting_contract(rod, x_stars):
+            contracted.append(tuple(x_stars))
+            return real_contract(rod, x_stars)
+
+        monkeypatch.setattr(model.RodTables, "at_sensors", counting_contract)
+        outside = 9.5
+        cells = [SweepCell(n_x=4, n_t=3, x_star=x, alpha=1e-6)
+                 for x in (-0.17, outside, 2.97)]
+        cfg = SolverConfig(max_iters=50)
+        reports = sweep(example1, cells, cfg, i_x=25, i_t=25)
+        monkeypatch.undo()
+        assert contracted == [(-0.17, 2.97)]
+        with pytest.raises(DomainError) as raised:
+            example1.with_sensor(outside)
+        assert reports[1].status == f"error: {raised.value}"
+        assert math.isnan(reports[1].e_f) and math.isnan(reports[1].e_u0)
+        for cell, report in zip(cells[::2], reports[::2]):
+            alone = invert_case(example1.with_sensor(cell.x_star), 4, 3,
+                                ObjectiveConfig(alpha=1e-6), cfg,
+                                i_x=25, i_t=25).errors
+            assert report.csv_row() == alone.csv_row()
 
     def test_default_cells_iteration_counts(self, example1):
         # Their epsilon (1e-3) is reachable: the floor stop never fires and

@@ -6,11 +6,12 @@ import pytest
 
 from heatsource.errors import DomainError, TruncationWarning
 from heatsource.kernels import (DEFAULT_TRUNCATION, TruncationPolicy,
-                                exp_moment, exp_moment_stack, greens_function,
-                                sine_moment, sine_moment_stack, source_kernel)
+                                exp_moment, exp_moment_rows, exp_moment_stack,
+                                greens_function, sin_modes, sine_moment,
+                                sine_moment_stack, source_kernel)
 from oracles import (exp_moment_stack_reference, mp_exp_moment,
                      mp_sine_moment, quad_exp_moment, quad_sine_moment,
-                     reference_green)
+                     reference_green, sin_modes_reference)
 from scipy import integrate
 
 L = 2.0 * math.pi
@@ -110,6 +111,33 @@ class TestSourceKernel:
         for x in np.linspace(0.05, L - 0.05, 40):
             for t in np.geomspace(0.01, 2.0, 12):
                 assert source_kernel(x, t, L, TR) > 0.0
+
+
+class TestSinModes:
+    def test_bitwise_equals_reference(self):
+        # Scalars and arrays, rod ends, multiples of L and points outside
+        # [0, L]: same values and the same signed zeros.
+        rng = np.random.default_rng(17)
+        cases = 0
+        for length in (L, 2.0, 1.0, 3.7):
+            for n in (1, 7, 340):
+                modes = np.arange(1, n + 1, dtype=float)
+                for x in (0.0, -0.0, length, length / 3, -length,
+                          1.5 * length, np.linspace(0.0, length, 101),
+                          np.array([0.0, -0.0, length, 2.0 * length]),
+                          rng.uniform(-length, 2.0 * length, 50)):
+                    got = sin_modes(x, length, modes)
+                    want = sin_modes_reference(x, length, modes)
+                    assert np.array_equal(got, want), (length, n, x)
+                    assert np.array_equal(np.signbit(got),
+                                          np.signbit(want)), (length, n, x)
+                    cases += 1
+        assert cases == 4 * 3 * 9
+
+    def test_exact_zeros_at_the_ends(self):
+        modes = np.arange(1, 50, dtype=float)
+        assert np.all(sin_modes(0.0, L, modes) == 0.0)
+        assert np.all(sin_modes(L, L, modes) == 0.0)
 
 
 class TestSineMoment:
@@ -213,9 +241,10 @@ class TestExpMoment:
 
     def test_stack_bitwise_equals_reference_on_model_inputs(self,
                                                             monkeypatch):
-        # Every stack the table builders ask for, on the rods, meshes and
+        # Every moment the table builders ask for, on the rods, meshes and
         # sizes the commands use, equals the out-of-place formula bit for
-        # bit (so tables, CSVs and solver paths do not move).
+        # bit (so tables, CSVs and solver paths do not move): the stack of
+        # the final profile and each streamed power of the sensor history.
         from heatsource import model
         from heatsource.harness import get_case, sensitivity_demo_geometry
 
@@ -228,7 +257,18 @@ class TestExpMoment:
             assert np.array_equal(got, ref), (max_power, lam_sq.size, t.size)
             return got
 
+        def recording_rows(max_power, lam_sq, t):
+            calls.append((max_power, lam_sq.size, t.size))
+            ref = exp_moment_stack_reference(max_power, lam_sq, t)
+            powers = []
+            for p, moment in exp_moment_rows(max_power, lam_sq, t):
+                assert np.array_equal(moment, ref[p]), (p, lam_sq.size, t.size)
+                powers.append(p)
+                yield p, moment
+            assert powers == list(range(max_power + 1))
+
         monkeypatch.setattr(model, "exp_moment_stack", recording)
+        monkeypatch.setattr(model, "exp_moment_rows", recording_rows)
         rods = [(get_case("example1").geometry, (20, 25, 100, 1000),
                  ((6, 5), (12, 9))),
                 (get_case("polynomial").geometry, (20, 50, 100),
@@ -238,8 +278,19 @@ class TestExpMoment:
             for nodes in meshes:
                 mesh = model.MeasurementMesh.regular(geom, nodes, nodes)
                 for n_x, n_t in sizes:
-                    model.rod_tables(geom, mesh, n_x, n_t, TR)
+                    model.sensitivity_tables(geom, mesh, n_x, n_t, TR)
         assert len(calls) == 2 * sum(len(m) * len(s) for _, m, s in rods)
+
+    def test_rows_reuse_one_buffer_and_match_the_stack(self):
+        lam_sq = np.array([0.25, 2.25, 42.0, 900.0])
+        ts = np.array([0.02, 0.5, 1.3])
+        stack = exp_moment_stack(6, lam_sq, ts)
+        buffers = set()
+        for p, moment in exp_moment_rows(6, lam_sq, ts):
+            assert moment.shape == (4, 3)
+            assert np.array_equal(moment, stack[p])
+            buffers.add(id(moment))
+        assert len(buffers) == 1
 
     def test_stack_bitwise_equals_reference_on_random_inputs(self):
         rng = np.random.default_rng(11)

@@ -307,8 +307,7 @@ class TestRodTables:
     def test_contraction_matches_a_fresh_build(self, geom, mesh, n_x, n_t):
         rod = rod_tables(geom.with_sensor(self.SENSORS[0]), mesh, n_x, n_t,
                          TR)
-        for x_star in self.SENSORS:
-            got = rod.at_sensor(x_star)
+        for x_star, got in zip(self.SENSORS, rod.at_sensors(self.SENSORS)):
             fresh = sensitivity_tables(geom.with_sensor(x_star), mesh, n_x,
                                        n_t, TR)
             assert got.geom == fresh.geom
@@ -318,7 +317,7 @@ class TestRodTables:
 
     def test_final_tables_include_the_left_end(self, geom, mesh):
         rod = rod_tables(geom, mesh, 6, 5, TR)
-        tables = rod.at_sensor(geom.sensor)
+        [tables] = rod.at_sensors([geom.sensor])
         assert rod.final_theta.shape == (mesh.x_nodes.size, 6)
         assert rod.final_phi.shape == (mesh.x_nodes.size, 5)
         assert np.all(rod.final_theta[0] == 0.0)
@@ -329,7 +328,73 @@ class TestRodTables:
     def test_sensor_outside_the_rod_rejected(self, geom, mesh):
         rod = rod_tables(geom, mesh, 3, 2, TR)
         with pytest.raises(DomainError):
-            rod.at_sensor(geom.offset + geom.length + 0.1)
+            rod.at_sensors([geom.offset + geom.length + 0.1])
+        with pytest.raises(DomainError):
+            rod.at_sensors([geom.sensor, geom.offset - 0.1])
+
+
+class TestStreamedHistory:
+    """The source-response history, streamed one moment power at a time,
+    equals the stacked computation it replaced bit for bit, in the same
+    memory layout, and so gives the same predictions."""
+
+    SENSORS = {"example1": (-1.34, -0.17, 0.99, 2.15, 2.97),
+               "polynomial": (0.3, 1.25, 1.7)}
+    MESHES = (20, 25, 50, 100, 1000)
+    SIZES = ((6, 5), (12, 9), (16, 16))
+
+    def test_tables_and_predictions_equal_the_stacked_reference(self):
+        import dataclasses
+
+        from heatsource.harness import get_case
+        from heatsource.model import _phi_modes
+        from oracles import phi_history_reference
+
+        rng = np.random.default_rng(5)
+        checked = 0
+        for name, sensors in self.SENSORS.items():
+            g = get_case(name).geometry
+            for nodes in self.MESHES:
+                mesh = MeasurementMesh.regular(g, nodes, nodes)
+                ts = mesh.t_interior
+                for n_x, n_t in self.SIZES:
+                    modes = _phi_modes(n_t, float(ts.min()), float(ts.max()),
+                                       g.length, TR)
+                    reference = phi_history_reference(ts, g.length, n_t,
+                                                      modes)
+                    tables = rod_tables(g, mesh, n_x, n_t, TR).at_sensors(
+                        sensors)
+                    params = PolyParams(phi=rng.standard_normal(n_t),
+                                        theta=rng.standard_normal(n_x))
+                    for got in tables:
+                        key = (name, nodes, n_x, n_t, got.geom.sensor)
+                        want = reference(got.geom.sensor_shifted)
+                        assert np.array_equal(got.sensor_phi, want), key
+                        assert got.sensor_phi.flags.f_contiguous \
+                            == want.flags.f_contiguous, key
+                        stacked = dataclasses.replace(got, sensor_phi=want)
+                        for a, b in zip(got.predict(params),
+                                        stacked.predict(params)):
+                            assert np.array_equal(a, b), key
+                        checked += 1
+        assert checked == 5 * 3 * (5 + 3)
+
+    def test_traced_peak_of_a_table_build(self):
+        # example1, 12x9, 2000 nodes: the stacked build peaked at 63.8 MB.
+        import tracemalloc
+
+        from heatsource.harness import get_case
+
+        g = get_case("example1").geometry
+        mesh = MeasurementMesh.regular(g, 2000, 2000)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            sensitivity_tables(g, mesh, 12, 9, TR)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30e6, peak / 1e6
 
 
 class TestDirectionResponse:

@@ -238,8 +238,7 @@ class TestCostFloor:
         case = get_case("example1")
         mesh = MeasurementMesh.regular(case.geometry, 100, 100)
         layer = rod_tables(case.geometry, mesh, n_x, n_t, TR)
-        for x_star in sensors:
-            tables = layer.at_sensor(x_star)
+        for x_star, tables in zip(sensors, layer.at_sensors(sensors)):
             for noise in (0.0, 0.01):
                 meas = generate_measurements(case.with_sensor(x_star), mesh,
                                              noise_level=noise, seed=42)
