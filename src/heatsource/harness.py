@@ -228,17 +228,22 @@ def invert_case(case: ManufacturedCase, n_x: int, n_t: int,
                 i_x: int = 100, i_t: int = 100, noise_level: float = 0.0,
                 seed: int = 42,
                 trunc: TruncationPolicy = DEFAULT_TRUNCATION,
-                tables: SensitivityTables | None = None
+                tables: SensitivityTables | None = None,
+                meas: Measurements | None = None
                 ) -> InversionResult:
     """Generate data for the case, run the inversion, and score it.
 
     ``tables``, when given, must have been built for this case's geometry
     on the regular ``i_x`` x ``i_t`` mesh with ``n_x``, ``n_t`` and
-    ``trunc``; otherwise the solve builds them.
+    ``trunc``; otherwise the solve builds them.  ``meas``, when given, must
+    be what :func:`generate_measurements` returns for this case on that
+    mesh with ``noise_level``, ``seed`` and ``trunc``; otherwise it is
+    generated here.
     """
     geom = case.geometry
     mesh = MeasurementMesh.regular(geom, i_x, i_t)
-    meas = generate_measurements(case, mesh, noise_level, seed, trunc)
+    if meas is None:
+        meas = generate_measurements(case, mesh, noise_level, seed, trunc)
     params, trace, report = solve(meas, geom, mesh, n_x, n_t, obj_cfg,
                                   solver_cfg, trunc, tables=tables)
     errors = rmse_report(case, params, mesh)
@@ -297,8 +302,9 @@ def sweep(case: ManufacturedCase, cells, solver_cfg: SolverConfig,
     """Run one inversion per cell and return the reports in cell order.
 
     Cells of one size share one sensor-independent table layer and one
-    history build for all their sensors, and cells that differ only in
-    alpha share one set of response tables.  Per-cell failures are
+    history build for all their sensors, cells that differ only in alpha
+    share one set of response tables, and cells at one sensor share its
+    measurements.  Per-cell failures are
     recorded in the report's status and do not stop the sweep.
     After the run, the sensor-position trend of the initial-profile error
     is checked per size and alpha over two or more sensors and logged (soft
@@ -307,27 +313,32 @@ def sweep(case: ManufacturedCase, cells, solver_cfg: SolverConfig,
     cells = list(cells)
     reports = []
     tables = {}  # (x_star, n_x, n_t) -> SensitivityTables
+    measurements = {}  # x_star -> Measurements
     for cell in cells:
         try:
             cell_case = case.with_sensor(cell.x_star)
+            geom = cell_case.geometry
+            mesh = MeasurementMesh.regular(geom, i_x, i_t)
+            if cell.x_star not in measurements:
+                measurements[cell.x_star] = generate_measurements(
+                    cell_case, mesh, noise_level, seed, trunc)
             key = (cell.x_star, cell.n_x, cell.n_t)
             if key not in tables:
                 # One layer and one history build per size, for all its
                 # sensors that lie in the rod; the others fail above.
-                geom = cell_case.geometry
                 sensors = list(dict.fromkeys(
                     c.x_star for c in cells
                     if (c.n_x, c.n_t) == (cell.n_x, cell.n_t)
                     and geom.offset < c.x_star < geom.offset + geom.length))
-                rod = rod_tables(geom, MeasurementMesh.regular(geom, i_x, i_t),
-                                 cell.n_x, cell.n_t, trunc)
+                rod = rod_tables(geom, mesh, cell.n_x, cell.n_t, trunc)
                 for x_star, built in zip(sensors, rod.at_sensors(sensors)):
                     tables[(x_star, cell.n_x, cell.n_t)] = built
             result = invert_case(
                 cell_case, cell.n_x, cell.n_t,
                 ObjectiveConfig(alpha=cell.alpha), solver_cfg,
                 i_x=i_x, i_t=i_t, noise_level=noise_level, seed=seed,
-                trunc=trunc, tables=tables[key])
+                trunc=trunc, tables=tables[key],
+                meas=measurements[cell.x_star])
             reports.append(result.errors)
         except Exception as exc:  # per-cell isolation
             logger.warning("sweep cell %s failed: %s", cell, exc)

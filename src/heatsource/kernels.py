@@ -78,20 +78,46 @@ def mode_count(amplitude: float, t: float, length: float,
     return needed
 
 
+# Elements per sin_modes block: its scratch is three (points, modes) arrays
+# of about this size however many points there are.  A block holds whole
+# rows, so few modes give tall blocks and little per-block overhead.
+_SIN_BLOCK = 1 << 15
+
+
 def sin_modes(x, length: float, modes: np.ndarray) -> np.ndarray:
     """sin(n*pi*x/L) for every mode n, with exact zeros where n*x/L is
     integral (so kernel values vanish identically at the rod ends).
 
-    ``x`` may be a scalar or 1-d array; the mode axis comes last.
+    ``x`` may be a scalar or 1-d array; the mode axis comes last.  The work
+    is elementwise and runs over blocks of points, so its scratch does not
+    grow with the number of points.
     """
-    y = np.multiply.outer(np.asarray(x, dtype=float) / length, modes)
-    r = np.round(y)
-    frac = y - r
-    odd = r.astype(np.int64)
+    x = np.asarray(x, dtype=float)
+    modes = np.asarray(modes)
+    u = x.reshape(-1) / length
+    out = np.empty((u.size, modes.size))
+    step = max(1, _SIN_BLOCK // (modes.size or 1))
+    rows = min(u.size, step)
+    y = np.empty((rows, modes.size))
+    frac = np.empty_like(y)
+    odd = np.empty(y.shape, dtype=np.int64)
+    for start in range(0, u.size, step):
+        n = min(rows, u.size - start)
+        _sin_block(u[start:start + n], modes, out[start:start + n],
+                   y[:n], frac[:n], odd[:n])
+    return out.reshape(x.shape + (modes.size,))
+
+
+def _sin_block(u, modes, r, y, frac, odd):
+    """One block of :func:`sin_modes` for u = x/L, computed in its output
+    block ``r``.  Each step reuses a buffer: y becomes the tolerance, r
+    holds the rounded argument, |frac|, the sign and then the result."""
+    np.multiply.outer(u, modes, out=y)
+    np.round(y, out=r)
+    np.subtract(y, r, out=frac)
+    np.copyto(odd, r, casting="unsafe")
     odd &= 1
     # Snap fractional parts indistinguishable from argument rounding to 0.
-    # Each step reuses a buffer: y becomes the tolerance, r holds |frac|
-    # and then the sign.
     np.abs(y, out=y)
     np.maximum(y, 1.0, out=y)
     np.multiply(y, 8.0 * _EPS, out=y)
@@ -102,7 +128,6 @@ def sin_modes(x, length: float, modes: np.ndarray) -> np.ndarray:
     np.multiply(frac, np.pi, out=frac)
     np.sin(frac, out=frac)
     np.multiply(r, frac, out=r)
-    return r
 
 
 def _check_coordinate(value, length, name):
@@ -201,11 +226,13 @@ def exp_moment_rows(max_power: int, lam_sq, t):
     t = np.asarray(t, dtype=float)
     a = np.multiply.outer(lam_sq, t)
     switch = max(_SERIES_SWITCH_BASE, 2.0 * max_power)
-    small = a < switch
+    # Flat indices of the small entries; their times are t[idx % len(t)],
+    # so the (modes, times) grid of t is never materialised.
+    small = np.flatnonzero(a < switch)
     series = None
-    if np.any(small):
-        t_grid = np.broadcast_to(t, a.shape)
-        series = _exp_moment_series(max_power, a[small], t_grid[small])
+    if small.size:
+        series = _exp_moment_series(max_power, a.take(small),
+                                    t.take(small % t.size))
     ls = lam_sq[:, None]
     # The recurrence runs in place in a's storage.  The small entries carry
     # series values into the next step, which overwrites them again.
@@ -222,7 +249,7 @@ def exp_moment_rows(max_power: int, lam_sq, t):
             np.subtract(t_pow, j, out=j)
             np.divide(j, ls, out=j)
         if series is not None:
-            j[small] = series[p]
+            np.put(j, small, series[p])
         yield p, j
 
 
@@ -241,20 +268,26 @@ def _exp_moment_series(max_power: int, a: np.ndarray, t: np.ndarray) -> np.ndarr
     """Positive-term series for J_p on flat arrays a = lam_sq*t and t."""
     powers = np.arange(max_power + 1, dtype=float)
     acc = np.zeros((max_power + 1, a.size))
+    quot = np.empty_like(acc)
     term = np.ones_like(a)  # a^j / j!
     limit = int(a.max(initial=0.0)) + 80
     for j in range(limit):
-        acc += term[None, :] / (powers[:, None] + 1.0 + j)
+        np.divide(term[None, :], powers[:, None] + 1.0 + j, out=quot)
+        acc += quot
         if term.max(initial=0.0) < 1e-20:
             break
-        term = term * a / (j + 1.0)
-    damp = np.exp(-a)
-    out = np.empty_like(acc)
+        np.multiply(term, a, out=term)
+        np.divide(term, j + 1.0, out=term)
+    # acc[p] becomes t^(p+1) * exp(-a) * acc[p], in place.
+    damp = np.negative(a)
+    np.exp(damp, out=damp)
+    factor = np.empty_like(a)
     t_pow = t.copy()  # t^(p+1)
     for p in range(max_power + 1):
-        out[p] = t_pow * damp * acc[p]
-        t_pow = t_pow * t
-    return out
+        np.multiply(t_pow, damp, out=factor)
+        np.multiply(factor, acc[p], out=acc[p])
+        np.multiply(t_pow, t, out=t_pow)
+    return acc
 
 
 def exp_moment(k: int, lam_sq: float, t: float) -> float:

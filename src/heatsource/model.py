@@ -187,7 +187,9 @@ def theta_response_profile(xs, t: float, length: float, n_theta: int,
     modes = _theta_modes(n_theta, t, length, trunc)
     lam = (math.pi / length) * modes
     weights = sine_moment_stack(n_theta - 1, modes, length) * np.exp(-lam * lam * t)
-    return 2.0 / length * sin_modes(xs, length, modes) @ weights.T
+    sx = sin_modes(xs, length, modes)
+    np.multiply(2.0 / length, sx, out=sx)
+    return sx @ weights.T
 
 
 def theta_response_history(x: float, ts, length: float, n_theta: int,
@@ -214,9 +216,20 @@ def _theta_history(ts, length: float, n_theta: int, trunc: TruncationPolicy):
     weights = sine_moment_stack(n_theta - 1, modes, length)
 
     def at(xs):
-        decay = np.exp(-np.multiply.outer(ts, lam * lam))
-        return [2.0 / length * (decay * sin_modes(x, length, modes))
-                @ weights.T for x in xs]
+        decay = np.multiply.outer(ts, lam * lam)
+        np.negative(decay, out=decay)
+        np.exp(decay, out=decay)
+        # (2/L) * decay * sin per point, in one scratch shared by all points
+        # but the last, which scales decay itself; each product is a fresh
+        # table.
+        scratch = np.empty_like(decay) if len(xs) > 1 else None
+        tables = []
+        for k, x in enumerate(xs):
+            scaled = decay if k == len(xs) - 1 else scratch
+            np.multiply(decay, sin_modes(x, length, modes), out=scaled)
+            np.multiply(2.0 / length, scaled, out=scaled)
+            tables.append(scaled @ weights.T)
+        return tables
     return at
 
 
@@ -289,9 +302,10 @@ def phi_response_profile(xs, t: float, length: float, n_phi: int,
     lam = (math.pi / length) * modes
     stack = exp_moment_stack(n_phi - 1, lam * lam, np.array([t]))[:, :, 0]
     sx = sin_modes(xs, length, modes)
-    head = 4.0 / length * sx @ (stack / lam).T
-    d0 = _bump(xs, length) - 4.0 / length * sx @ (1.0 / lam**3)
-    d1 = _bump2(xs, length) - 4.0 / length * sx @ (1.0 / lam**5)
+    np.multiply(4.0 / length, sx, out=sx)
+    head = sx @ (stack / lam).T
+    d0 = _bump(xs, length) - sx @ (1.0 / lam**3)
+    d1 = _bump2(xs, length) - sx @ (1.0 / lam**5)
     return _phi_assemble(head, np.full(xs.shape, t), d0, d1, n_phi)
 
 

@@ -159,6 +159,27 @@ def sin_modes_reference(x, length, modes):
     return sign * np.sin(np.pi * frac)
 
 
+def theta_history_reference(ts, length, n_theta, modes):
+    """The initial-profile history as first written, as a function of the
+    shifted point x: a fresh exp(-lam^2 t) decay matrix and a fresh
+    (2/L) * decay * sin product per point.  The moment weights are the
+    library's ``sine_moment_stack`` (checked against quadrature on its own).
+
+    The library builds the decay matrix in place and forms every product in
+    reused storage; its tables must equal these bit for bit.
+    """
+    from heatsource.kernels import sine_moment_stack
+
+    lam = (math.pi / length) * modes
+    weights = sine_moment_stack(n_theta - 1, modes, length)
+
+    def at(x):
+        decay = np.exp(-np.multiply.outer(ts, lam * lam))
+        return (2.0 / length * (decay * sin_modes_reference(x, length, modes))
+                @ weights.T)
+    return at
+
+
 def phi_history_reference(ts, length, n_phi, modes):
     """The source-response history as first written, as a function of the
     shifted point x: the whole (n_phi, modes, times) exp-moment stack of

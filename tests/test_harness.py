@@ -239,6 +239,43 @@ class TestSweep:
                             i_x=25, i_t=25).errors
         assert reports[4].csv_row() == alone.csv_row()
 
+    def test_cells_at_one_sensor_share_measurements(self, monkeypatch):
+        # The polynomial case drives its data through a 16x16 table set:
+        # one per sensor, not one per cell; the rows equal lone inversions.
+        from heatsource import harness
+
+        case = get_case("polynomial")
+        generated, data_tables = [], []
+        real_generate = harness.generate_measurements
+        real_tables = harness.sensitivity_tables
+
+        def counting_generate(cell_case, *args, **kwargs):
+            generated.append(cell_case.geometry.sensor)
+            return real_generate(cell_case, *args, **kwargs)
+
+        def counting_tables(geom, mesh, n_x, n_t, *args, **kwargs):
+            data_tables.append((geom.sensor, n_x, n_t))
+            return real_tables(geom, mesh, n_x, n_t, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "generate_measurements",
+                            counting_generate)
+        monkeypatch.setattr(harness, "sensitivity_tables", counting_tables)
+        cells = [SweepCell(n_x=n_x, n_t=n_t, x_star=x, alpha=a)
+                 for n_x, n_t in ((4, 3), (6, 5)) for x in (0.3, 1.7)
+                 for a in (1e-6, 1e-3)]
+        cfg = SolverConfig(max_iters=50)
+        reports = sweep(case, cells, cfg, i_x=25, i_t=25, noise_level=0.01,
+                        seed=7)
+        monkeypatch.undo()
+        assert generated == [0.3, 1.7]
+        assert data_tables == [(0.3, 16, 16), (1.7, 16, 16)]
+        for cell, report in zip(cells, reports):
+            alone = invert_case(case.with_sensor(cell.x_star), cell.n_x,
+                                cell.n_t, ObjectiveConfig(alpha=cell.alpha),
+                                cfg, i_x=25, i_t=25, noise_level=0.01,
+                                seed=7).errors
+            assert report.csv_row() == alone.csv_row(), cell
+
     def test_sensors_of_one_size_share_one_layer(self, example1,
                                                  monkeypatch):
         # Per size, the layer computes the moment stack of the final profile

@@ -134,6 +134,25 @@ class TestSinModes:
                     cases += 1
         assert cases == 4 * 3 * 9
 
+    def test_bitwise_equals_reference_across_row_blocks(self):
+        # Point counts around the block height, with the rod ends and points
+        # outside [0, L] placed in the first, a middle and the last block.
+        from heatsource.kernels import _SIN_BLOCK
+
+        rng = np.random.default_rng(23)
+        modes = np.arange(1, 341, dtype=float)
+        block = _SIN_BLOCK // modes.size
+        for rows in (block - 1, block, block + 1, 2 * block + 1, 2000):
+            x = rng.uniform(-L, 2.0 * L, rows)
+            edges = (0.0, -0.0, L, -L, 2.0 * L, L / 3)
+            for start in (0, rows // 2, rows - len(edges)):
+                x[start:start + len(edges)] = edges
+            got = sin_modes(x, L, modes)
+            want = sin_modes_reference(x, L, modes)
+            assert got.shape == (rows, modes.size)
+            assert np.array_equal(got, want), rows
+            assert np.array_equal(np.signbit(got), np.signbit(want)), rows
+
     def test_exact_zeros_at_the_ends(self):
         modes = np.arange(1, 50, dtype=float)
         assert np.all(sin_modes(0.0, L, modes) == 0.0)
@@ -291,6 +310,18 @@ class TestExpMoment:
             assert np.array_equal(moment, stack[p])
             buffers.add(id(moment))
         assert len(buffers) == 1
+
+    def test_rows_bitwise_equal_reference_for_any_series_set(self):
+        # No entry below the series switch, exactly one, and every one.
+        ts = np.array([0.5, 1.0, 2.0])
+        for lam_sq, small in ((np.array([70.0, 90.0]), 0),
+                              (np.array([50.0, 90.0]), 1),
+                              (np.array([0.25, 2.25, 14.0]), 9)):
+            assert np.count_nonzero(np.multiply.outer(lam_sq, ts) < 30.0) \
+                == small
+            ref = exp_moment_stack_reference(8, lam_sq, ts)
+            for p, moment in exp_moment_rows(8, lam_sq, ts):
+                assert np.array_equal(moment, ref[p]), (small, p)
 
     def test_stack_bitwise_equals_reference_on_random_inputs(self):
         rng = np.random.default_rng(11)

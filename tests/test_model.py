@@ -336,7 +336,8 @@ class TestRodTables:
 class TestStreamedHistory:
     """The source-response history, streamed one moment power at a time,
     equals the stacked computation it replaced bit for bit, in the same
-    memory layout, and so gives the same predictions."""
+    memory layout, and so gives the same predictions.  The initial-profile
+    history, built in reused storage, equals its out-of-place formula."""
 
     SENSORS = {"example1": (-1.34, -0.17, 0.99, 2.15, 2.97),
                "polynomial": (0.3, 1.25, 1.7)}
@@ -379,22 +380,66 @@ class TestStreamedHistory:
                         checked += 1
         assert checked == 5 * 3 * (5 + 3)
 
-    def test_traced_peak_of_a_table_build(self):
-        # example1, 12x9, 2000 nodes: the stacked build peaked at 63.8 MB.
+    def test_theta_history_equals_the_out_of_place_reference(self):
+        # One sensor per call, then five in one call: the five share the
+        # scratch of the decay-times-sine products, which must not leak
+        # from one sensor's table into another's.
+        from heatsource.harness import REFERENCE_SENSORS, get_case
+        from heatsource.model import _theta_modes
+        from oracles import theta_history_reference
+
+        sensors = {"example1": REFERENCE_SENSORS,
+                   "polynomial": (0.3, 0.7, 1.0, 1.25, 1.7)}
+        checked = 0
+        for name, positions in sensors.items():
+            g = get_case(name).geometry
+            xs = [x - g.offset for x in positions]
+            for nodes in self.MESHES + (2000,):
+                mesh = MeasurementMesh.regular(g, nodes, nodes)
+                ts = mesh.t_interior
+                for n_x, n_t in self.SIZES:
+                    modes = _theta_modes(n_x, float(ts.min()), g.length, TR)
+                    reference = theta_history_reference(ts, g.length, n_x,
+                                                        modes)
+                    rod = rod_tables(g, mesh, n_x, n_t, TR)
+                    for batch in ([xs[-1]], xs):
+                        for x, got in zip(batch, rod.theta_history(batch)):
+                            want = reference(x)
+                            key = (name, nodes, n_x, len(batch), x)
+                            assert np.array_equal(got, want), key
+                            assert got.flags.c_contiguous \
+                                == want.flags.c_contiguous, key
+                            checked += 1
+        assert checked == 2 * 6 * 3 * (1 + 5)
+
+    @staticmethod
+    def _traced_peak(name, nodes, n_x, n_t):
         import tracemalloc
 
         from heatsource.harness import get_case
 
-        g = get_case("example1").geometry
-        mesh = MeasurementMesh.regular(g, 2000, 2000)
+        g = get_case(name).geometry
+        mesh = MeasurementMesh.regular(g, nodes, nodes)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            sensitivity_tables(g, mesh, 12, 9, TR)
+            sensitivity_tables(g, mesh, n_x, n_t, TR)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 30e6, peak / 1e6
+        return peak
+
+    def test_traced_peak_of_a_table_build(self):
+        # example1, 12x9, 2000 nodes: the stacked build peaked at 63.8 MB,
+        # the streamed one with whole-mesh temporaries at 22.7 MB.
+        peak = self._traced_peak("example1", 2000, 12, 9)
+        assert peak <= 12e6, peak / 1e6
+
+    def test_traced_peak_of_a_forward_build(self):
+        # The tables of `heatsource forward` (polynomial, 2x3, 4000 nodes)
+        # peaked at 14.2 MB with whole-mesh theta-history temporaries.
+        peak = self._traced_peak("polynomial", 4000, 2, 3)
+        assert peak <= 9e6, peak / 1e6
 
 
 class TestDirectionResponse:
