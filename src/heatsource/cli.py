@@ -141,6 +141,10 @@ class RunConfig:
         return cells
 
 
+def _parse_str(raw, key):
+    return raw.strip()
+
+
 def _parse_int(raw, key):
     try:
         return int(raw)
@@ -177,29 +181,18 @@ def _parse_floats(raw, key):
     return tuple(_parse_float(part, key) for part in raw.split(","))
 
 
+# Each key's parser follows its RunConfig annotation (a string here, under
+# postponed evaluation of annotations).
 _PARSERS = {
-    "command": lambda raw, key: raw.strip(),
-    "case": lambda raw, key: raw.strip(),
-    "n_x": _parse_int,
-    "n_t": _parse_int,
-    "alpha": _parse_float,
-    "epsilon": _parse_float,
-    "max_iters": _parse_int,
-    "restart_period": _parse_optional_int,
-    "noise_level": _parse_float,
-    "seed": _parse_int,
-    "i_x": _parse_int,
-    "i_t": _parse_int,
-    "x_star": _parse_optional_float,
-    "trunc_tol": _parse_float,
-    "max_terms": _parse_int,
-    "outdir": lambda raw, key: raw.strip(),
-    "run_id": lambda raw, key: raw.strip(),
-    "phi": _parse_floats,
-    "theta": _parse_floats,
-    "sweep_n": lambda raw, key: raw.strip(),
-    "sweep_xstar": lambda raw, key: raw.strip(),
-    "sweep_alpha": lambda raw, key: raw.strip(),
+    f.name: {
+        "str": _parse_str,
+        "int": _parse_int,
+        "float": _parse_float,
+        "int | None": _parse_optional_int,
+        "float | None": _parse_optional_float,
+        "tuple": _parse_floats,
+    }[f.type]
+    for f in fields(RunConfig)
 }
 
 # Range checks with the accepted range echoed in every message.

@@ -78,25 +78,23 @@ def residuals(params: PolyParams, meas: Measurements,
 def cost(params: PolyParams, meas: Measurements, cfg: ObjectiveConfig,
          tables: SensitivityTables) -> float:
     """Value of the regularized objective at the given coefficients."""
-    r_f, r_s = residuals(params, meas, tables)
-    pen_x = tables.penalty_x @ params.theta
-    pen_t = tables.penalty_t @ params.phi
-    return float(
-        r_f @ r_f + r_s @ r_s + cfg.alpha * (pen_x @ pen_x + pen_t @ pen_t)
-    )
+    _, r = _stacked_residual(params, meas, cfg, tables)
+    return float(r @ r)
 
 
 def gradient(params: PolyParams, meas: Measurements, cfg: ObjectiveConfig,
              tables: SensitivityTables):
     """Analytic gradient blocks (d/d phi, d/d theta)."""
-    r_f, r_s = residuals(params, meas, tables)
-    pen_x = tables.penalty_x @ params.theta
-    pen_t = tables.penalty_t @ params.phi
-    g_phi = -2.0 * (tables.final_phi.T @ r_f + tables.sensor_phi.T @ r_s) \
-        + 2.0 * cfg.alpha * (tables.penalty_t.T @ pen_t)
-    g_theta = -2.0 * (tables.final_theta.T @ r_f + tables.sensor_theta.T @ r_s) \
-        + 2.0 * cfg.alpha * (tables.penalty_x.T @ pen_x)
-    return g_phi, g_theta
+    stacked, r = _stacked_residual(params, meas, cfg, tables)
+    g = -2.0 * (r @ stacked)
+    return g[tables.n_x:], g[:tables.n_x]
+
+
+def _stacked_residual(params, meas, cfg, tables):
+    """``(M, rhs - M x)`` on ``stacked_system`` at ``x = [theta; phi]``."""
+    stacked, rhs = stacked_system(meas, cfg, tables)
+    tables.check_params(params)
+    return stacked, rhs - stacked @ np.concatenate([params.theta, params.phi])
 
 
 def stacked_system(meas: Measurements, cfg: ObjectiveConfig,
@@ -105,21 +103,26 @@ def stacked_system(meas: Measurements, cfg: ObjectiveConfig,
 
     ``M`` stacks the design ``[final_theta, final_phi; sensor_theta,
     sensor_phi]`` over ``sqrt(alpha)`` times the block-diagonal penalty, and
-    ``x = [theta; phi]``.  Returns ``(M, rhs)``.
+    ``x = [theta; phi]``.  Returns ``(M, rhs)``.  This is the one place that
+    weights the misfit and penalty terms: ``cost``, ``gradient``, both
+    solvers and the stationarity audit all evaluate this system.
     """
     meas.check_against(tables)
     n_x = tables.n_x
-    design = np.block([
-        [tables.final_theta, tables.final_phi],
-        [tables.sensor_theta, tables.sensor_phi],
-    ])
+    end_f = meas.u_f.size
+    end_s = end_f + meas.u_star.size
+    end_x = end_s + tables.penalty_x.shape[0]
+    stacked = np.zeros((end_x + tables.penalty_t.shape[0], n_x + tables.n_t))
+    stacked[:end_f, :n_x] = tables.final_theta
+    stacked[:end_f, n_x:] = tables.final_phi
+    stacked[end_f:end_s, :n_x] = tables.sensor_theta
+    stacked[end_f:end_s, n_x:] = tables.sensor_phi
     root_alpha = np.sqrt(cfg.alpha)
-    pen = np.zeros((tables.penalty_x.shape[0] + tables.penalty_t.shape[0],
-                    n_x + tables.n_t))
-    pen[: tables.penalty_x.shape[0], :n_x] = root_alpha * tables.penalty_x
-    pen[tables.penalty_x.shape[0]:, n_x:] = root_alpha * tables.penalty_t
-    stacked = np.vstack([design, pen])
-    rhs = np.concatenate([meas.u_f, meas.u_star, np.zeros(pen.shape[0])])
+    np.multiply(root_alpha, tables.penalty_x, out=stacked[end_s:end_x, :n_x])
+    np.multiply(root_alpha, tables.penalty_t, out=stacked[end_x:, n_x:])
+    rhs = np.zeros(stacked.shape[0])
+    rhs[:end_f] = meas.u_f
+    rhs[end_f:end_s] = meas.u_star
     return stacked, rhs
 
 

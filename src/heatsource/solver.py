@@ -22,8 +22,8 @@ from .errors import DegenerateDirectionError, DivergenceError
 from .kernels import DEFAULT_TRUNCATION, TruncationPolicy
 from .model import (Geometry, MeasurementMesh, PolyParams, SensitivityTables,
                     sensitivity_tables)
-from .objective import (Measurements, ObjectiveConfig, cost_floor,
-                        residuals, stacked_system)
+from .objective import (Measurements, ObjectiveConfig, _stacked_residual,
+                        cost_floor, stacked_system)
 
 __all__ = [
     "SolverConfig",
@@ -79,23 +79,21 @@ class IterationTrace:
     cost: list = field(default_factory=list)
     grad_phi_norm: list = field(default_factory=list)
     grad_theta_norm: list = field(default_factory=list)
-    gamma_phi: list = field(default_factory=list)
-    gamma_theta: list = field(default_factory=list)
-    beta_phi: list = field(default_factory=list)
-    beta_theta: list = field(default_factory=list)
+    gamma: list = field(default_factory=list)
+    beta: list = field(default_factory=list)
 
+    # Both blocks share one momentum and one step; each is written twice,
+    # once per block column.
     HEADER = ("iteration", "cost", "grad_phi_norm", "grad_theta_norm",
               "gamma_phi", "gamma_theta", "beta_phi", "beta_theta")
 
-    def append(self, cost_value, g_phi_norm, g_theta_norm,
-               gamma_phi=0.0, gamma_theta=0.0, beta_phi=0.0, beta_theta=0.0):
+    def append(self, cost_value, g_phi_norm, g_theta_norm, gamma=0.0,
+               beta=0.0):
         self.cost.append(float(cost_value))
         self.grad_phi_norm.append(float(g_phi_norm))
         self.grad_theta_norm.append(float(g_theta_norm))
-        self.gamma_phi.append(float(gamma_phi))
-        self.gamma_theta.append(float(gamma_theta))
-        self.beta_phi.append(float(beta_phi))
-        self.beta_theta.append(float(beta_theta))
+        self.gamma.append(float(gamma))
+        self.beta.append(float(beta))
 
     def __len__(self):
         return len(self.cost)
@@ -103,8 +101,8 @@ class IterationTrace:
     def rows(self):
         for n in range(len(self.cost)):
             yield (n, self.cost[n], self.grad_phi_norm[n],
-                   self.grad_theta_norm[n], self.gamma_phi[n],
-                   self.gamma_theta[n], self.beta_phi[n], self.beta_theta[n])
+                   self.grad_theta_norm[n], self.gamma[n], self.gamma[n],
+                   self.beta[n], self.beta[n])
 
 
 @dataclass
@@ -158,22 +156,23 @@ def stationarity_check(params: PolyParams, meas: Measurements,
     For each standard-normal trial coefficient vector, build the model
     response to (trial - params) and compare twice-alpha times the penalty
     cross terms against the residual inner products, under both history-sum
-    weightings.  Margins are normalized by (1 + |lhs| + |rhs|).
+    weightings.  Every term comes from a row block of ``stacked_system``.
+    Margins are normalized by (1 + |lhs| + |rhs|).
     """
-    r_f, r_s = residuals(params, meas, tables)
-    # One row per trial, drawn as [phi | theta] in the per-trial order.
-    trials = np.random.default_rng(seed).standard_normal(
-        (n_trials, tables.n_t + tables.n_x))
-    t_phi, t_theta = trials[:, :tables.n_t], trials[:, tables.n_t:]
-    d_phi, d_theta = t_phi - params.phi, t_theta - params.theta
-    data_f = (d_theta @ tables.final_theta.T
-              + d_phi @ tables.final_phi.T) @ r_f
-    data_s = (d_theta @ tables.sensor_theta.T
-              + d_phi @ tables.sensor_phi.T) @ r_s
-    pen_x, pen_t = tables.penalty_x.T, tables.penalty_t.T
-    lhs = 2.0 * cfg.alpha * (
-        np.einsum("ij,ij->i", t_theta @ pen_x, d_theta @ pen_x)
-        + np.einsum("ij,ij->i", t_phi @ pen_t, d_phi @ pen_t))
+    stacked, r = _stacked_residual(params, meas, cfg, tables)
+    # One row per trial, drawn as [phi | theta] in the per-trial order and
+    # reordered to the [theta | phi] layout of x.
+    trials = np.roll(np.random.default_rng(seed).standard_normal(
+        (n_trials, tables.n_t + tables.n_x)), tables.n_x, axis=1)
+    deltas = trials - np.concatenate([params.theta, params.phi])
+    response = deltas @ stacked.T
+    # Row blocks of M: final-time profile, sensor history, penalty.
+    end_f = meas.u_f.size
+    end_s = end_f + meas.u_star.size
+    data_f = response[:, :end_f] @ r[:end_f]
+    data_s = response[:, end_f:end_s] @ r[end_f:end_s]
+    lhs = 2.0 * np.einsum("ij,ij->i", trials @ stacked[end_s:].T,
+                          response[:, end_s:])
     worst = []
     for weight_s in (1.0, 2.0):  # the mixed and the symmetric weighting
         rhs = 2.0 * data_f + weight_s * data_s
@@ -304,5 +303,5 @@ def _record(trace, cost_value, g, n_x, gamma=0.0, beta=0.0):
         raise DivergenceError(f"non-finite cost {cost_value}", trace=trace)
     if not math.isfinite(gn_phi + gn_theta):
         raise DivergenceError("non-finite gradient", trace=trace)
-    trace.append(cost_value, gn_phi, gn_theta, gamma, gamma, beta, beta)
+    trace.append(cost_value, gn_phi, gn_theta, gamma, beta)
     return cost_value

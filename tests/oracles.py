@@ -214,3 +214,51 @@ def svd_cost_floor(stacked, rhs):
     solution = np.linalg.lstsq(stacked, rhs, rcond=1e-18)[0]
     residual = rhs - stacked @ solution
     return float(residual @ residual)
+
+
+def stacked_system_reference(meas, cfg, tables):
+    """The stacked system as first written, from ``np.block``, ``vstack``
+    and ``concatenate`` temporaries.  The library fills one preallocated
+    array; the two must agree bit for bit and in layout."""
+    meas.check_against(tables)
+    n_x = tables.n_x
+    design = np.block([
+        [tables.final_theta, tables.final_phi],
+        [tables.sensor_theta, tables.sensor_phi],
+    ])
+    root_alpha = np.sqrt(cfg.alpha)
+    pen = np.zeros((tables.penalty_x.shape[0] + tables.penalty_t.shape[0],
+                    n_x + tables.n_t))
+    pen[: tables.penalty_x.shape[0], :n_x] = root_alpha * tables.penalty_x
+    pen[tables.penalty_x.shape[0]:, n_x:] = root_alpha * tables.penalty_t
+    stacked = np.vstack([design, pen])
+    rhs = np.concatenate([meas.u_f, meas.u_star, np.zeros(pen.shape[0])])
+    return stacked, rhs
+
+
+def blockwise_cost(params, meas, cfg, tables):
+    """The objective as first written, summed block by block from the
+    response and penalty tables instead of the stacked system."""
+    from heatsource.objective import residuals
+
+    r_f, r_s = residuals(params, meas, tables)
+    pen_x = tables.penalty_x @ params.theta
+    pen_t = tables.penalty_t @ params.phi
+    return float(
+        r_f @ r_f + r_s @ r_s + cfg.alpha * (pen_x @ pen_x + pen_t @ pen_t)
+    )
+
+
+def blockwise_gradient(params, meas, cfg, tables):
+    """The gradient blocks (d/d phi, d/d theta) as first written, from the
+    transposed response and penalty tables."""
+    from heatsource.objective import residuals
+
+    r_f, r_s = residuals(params, meas, tables)
+    pen_x = tables.penalty_x @ params.theta
+    pen_t = tables.penalty_t @ params.phi
+    g_phi = -2.0 * (tables.final_phi.T @ r_f + tables.sensor_phi.T @ r_s) \
+        + 2.0 * cfg.alpha * (tables.penalty_t.T @ pen_t)
+    g_theta = -2.0 * (tables.final_theta.T @ r_f + tables.sensor_theta.T @ r_s) \
+        + 2.0 * cfg.alpha * (tables.penalty_x.T @ pen_x)
+    return g_phi, g_theta

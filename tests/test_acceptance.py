@@ -190,7 +190,7 @@ def test_criterion_4_step_sizes_match_golden_section(small_problem):
                 gamma = (sum(float(g @ g) for g in grads)
                          / sum(float(g @ g) for g in g_prev))
                 dirs = (grads[0] + gamma * dirs[0], grads[1] + gamma * dirs[1])
-            beta = trace.beta_phi[n + 1]
+            beta = trace.beta[n + 1]
 
             def along(s):
                 return cost(PolyParams(phi=params.phi - s * dirs[0],
