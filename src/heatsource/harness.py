@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,20 +38,17 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# Degree used when sampling data through the series model for cases without
-# a closed-form temperature field; high enough that the fit floor sits far
-# below every error scale of interest.
-_DATA_FIT_TERMS = 16
-
 
 @dataclass(frozen=True)
 class ManufacturedCase:
     """A test problem with known source and initial temperature.
 
-    ``exact_F`` maps time to the source value, ``exact_u0`` maps physical x
-    to the initial temperature (it must vanish at both rod ends), and
-    ``exact_u``, when available, maps (physical x, t) to the temperature
-    field and is then the preferred data source.
+    ``exact_F`` maps time to the source value and ``exact_u0`` maps
+    physical x to the initial temperature (it must vanish at both rod ends).
+    The data come from ``exact_u``, which maps (physical x, t) to the
+    temperature field, when the case has one; otherwise ``exact_params``
+    holds the exact coefficients, and the data are their prediction on a
+    table set of exactly that size.
     """
 
     name: str
@@ -59,6 +56,8 @@ class ManufacturedCase:
     exact_F: callable
     exact_u0: callable
     exact_u: callable | None = None
+    # PolyParams holds arrays; left out of eq so the case stays hashable.
+    exact_params: PolyParams | None = field(default=None, compare=False)
 
     def with_sensor(self, sensor: float) -> "ManufacturedCase":
         return replace(self, geometry=self.geometry.with_sensor(sensor))
@@ -97,16 +96,17 @@ def _example1() -> ManufacturedCase:
 
 
 def _polynomial() -> ManufacturedCase:
-    # Source and initial profile exactly representable with n_t >= 2 and
-    # n_x >= 3; no closed-form field, so data flows through the series model.
+    # F = 1 + t and u0 = x(2 - x), exactly representable with n_t >= 2 and
+    # n_x >= 3; no closed-form field, so the data are the series model's
+    # prediction from these coefficients on a 3x2 table set.
     geom = Geometry(offset=0.0, length=2.0, t_final=1.0, sensor=1.25)
+    truth = PolyParams(phi=[1.0, 1.0], theta=[0.0, 2.0, -1.0])
     return ManufacturedCase(
         name="polynomial",
         geometry=geom,
-        exact_F=lambda t: 1.0 + np.asarray(t, dtype=float),
-        exact_u0=lambda x: np.asarray(x, dtype=float)
-        * (2.0 - np.asarray(x, dtype=float)),
-        exact_u=None,
+        exact_F=truth.source_values,
+        exact_u0=lambda x: truth.initial_values(geom.to_shifted(x)),
+        exact_params=truth,
     )
 
 
@@ -134,15 +134,10 @@ class ErrorReport:
     iterations: int = 0
     final_cost: float = math.nan
     status: str = ""
-    case: str = ""
     n_x: int = 0
     n_t: int = 0
     x_star: float = math.nan
     alpha: float = math.nan
-    i_x: int = 0
-    i_t: int = 0
-    noise_level: float = 0.0
-    seed: int = 0
     fit_residual_f: float = math.nan
     fit_residual_u0: float = math.nan
 
@@ -164,8 +159,8 @@ def generate_measurements(case: ManufacturedCase, mesh: MeasurementMesh,
     Gaussian noise with standard deviation noise_level * max|u| per channel.
 
     Uses the closed-form field when the case has one (keeping the data
-    independent of series truncation); otherwise drives the series model
-    with high-degree fits of the exact source and initial profile.
+    independent of series truncation); otherwise predicts the data from the
+    case's exact coefficients on a table set of exactly their size.
     """
     if noise_level < 0.0:
         raise ValueError(f"noise_level must be >= 0, got {noise_level}")
@@ -175,10 +170,13 @@ def generate_measurements(case: ManufacturedCase, mesh: MeasurementMesh,
         u_f = np.asarray(case.exact_u(x_phys, geom.t_final), dtype=float)
         u_star = np.asarray(case.exact_u(geom.sensor, mesh.t_interior),
                             dtype=float)
+    elif case.exact_params is not None:
+        truth = case.exact_params
+        u_f, u_star = sensitivity_tables(geom, mesh, truth.n_x, truth.n_t,
+                                         trunc).predict(truth)
     else:
-        params, _, _ = case.fit_params(mesh, _DATA_FIT_TERMS, _DATA_FIT_TERMS)
-        u_f, u_star = sensitivity_tables(geom, mesh, _DATA_FIT_TERMS,
-                                         _DATA_FIT_TERMS, trunc).predict(params)
+        raise ValueError(f"case {case.name!r} has neither exact_u nor "
+                         "exact_params")
     if noise_level > 0.0:
         rng = np.random.default_rng(seed)
         u_f = u_f + rng.normal(0.0, noise_level * np.max(np.abs(u_f)),
@@ -201,12 +199,9 @@ def rmse_report(case: ManufacturedCase, params: PolyParams,
     return ErrorReport(
         e_f=float(np.sqrt(np.sum(f_err * f_err) / mesh.i_t)),
         e_u0=float(np.sqrt(np.sum(u0_err * u0_err) / mesh.i_x)),
-        case=case.name,
         n_x=params.n_x,
         n_t=params.n_t,
         x_star=case.geometry.sensor,
-        i_x=mesh.i_x,
-        i_t=mesh.i_t,
     )
 
 
@@ -219,8 +214,6 @@ class InversionResult:
     report: ConvergenceReport
     errors: ErrorReport
     mesh: MeasurementMesh
-    measurements: Measurements
-    case: ManufacturedCase
 
 
 def invert_case(case: ManufacturedCase, n_x: int, n_t: int,
@@ -252,13 +245,10 @@ def invert_case(case: ManufacturedCase, n_x: int, n_t: int,
     errors.final_cost = report.final_cost
     errors.status = report.status
     errors.alpha = obj_cfg.alpha
-    errors.noise_level = noise_level
-    errors.seed = seed
     errors.fit_residual_f = fit_f
     errors.fit_residual_u0 = fit_u0
     return InversionResult(params=params, trace=trace, report=report,
-                           errors=errors, mesh=mesh, measurements=meas,
-                           case=case)
+                           errors=errors, mesh=mesh)
 
 
 @dataclass(frozen=True)
@@ -344,8 +334,8 @@ def sweep(case: ManufacturedCase, cells, solver_cfg: SolverConfig,
             logger.warning("sweep cell %s failed: %s", cell, exc)
             reports.append(ErrorReport(
                 e_f=math.nan, e_u0=math.nan, status=f"error: {exc}",
-                case=case.name, n_x=cell.n_x, n_t=cell.n_t,
-                x_star=cell.x_star, alpha=cell.alpha, i_x=i_x, i_t=i_t))
+                n_x=cell.n_x, n_t=cell.n_t, x_star=cell.x_star,
+                alpha=cell.alpha))
 
     for n_x, n_t, alpha in sorted({(c.n_x, c.n_t, c.alpha) for c in cells}):
         group = sorted((r for r in reports

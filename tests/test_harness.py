@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath as mp
@@ -106,19 +108,37 @@ class TestGenerateMeasurements:
             assert abs(sample_std - target) < 0.2 * target
 
     def test_polynomial_case_goes_through_the_series_model(self):
-        # No closed-form field: the data must still be consistent with the
-        # model at the exactly representable coefficients.
-        case = get_case("polynomial")
-        small = MeasurementMesh.regular(case.geometry, 30, 30)
-        meas = generate_measurements(case, small, noise_level=0.0)
+        # No closed-form field: the data are the model's prediction at the
+        # exact coefficients on a 3x2 table set, on coarse meshes too, where
+        # a high-degree fit of F and u0 would be underdetermined.
         from heatsource.model import sensitivity_tables
 
-        tables = sensitivity_tables(case.geometry, small, 3, 2, TR)
+        case = get_case("polynomial")
+        geom = case.geometry
         truth = PolyParams(phi=np.array([1.0, 1.0]),
                            theta=np.array([0.0, 2.0, -1.0]))
-        u_f, u_s = tables.predict(truth)
-        np.testing.assert_allclose(meas.u_f, u_f, atol=1e-10)
-        np.testing.assert_allclose(meas.u_star, u_s, atol=1e-10)
+        assert np.array_equal(case.exact_params.phi, truth.phi)
+        assert np.array_equal(case.exact_params.theta, truth.theta)
+        for nodes in (5, 10, 30, 1000):
+            small = MeasurementMesh.regular(geom, nodes, nodes)
+            t, x = small.t_nodes, geom.to_physical(small.x_nodes)
+            assert np.array_equal(case.exact_F(t), 1.0 + t), nodes
+            assert np.array_equal(case.exact_u0(x), x * (2.0 - x)), nodes
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                meas = generate_measurements(case, small, noise_level=0.0)
+            tables = sensitivity_tables(geom, small, 3, 2, TR)
+            u_f, u_s = tables.predict(truth)
+            assert np.array_equal(meas.u_f, u_f), nodes
+            assert np.array_equal(meas.u_star, u_s), nodes
+
+    def test_case_without_a_truth_is_rejected(self):
+        case = get_case("polynomial")
+        hash(case)  # the coefficients stay out of eq and hash
+        bare = replace(case, exact_params=None)
+        small = MeasurementMesh.regular(case.geometry, 5, 5)
+        with pytest.raises(ValueError, match="neither exact_u nor"):
+            generate_measurements(bare, small)
 
     def test_negative_noise_rejected(self, example1, mesh):
         with pytest.raises(ValueError):
@@ -240,8 +260,9 @@ class TestSweep:
         assert reports[4].csv_row() == alone.csv_row()
 
     def test_cells_at_one_sensor_share_measurements(self, monkeypatch):
-        # The polynomial case drives its data through a 16x16 table set:
-        # one per sensor, not one per cell; the rows equal lone inversions.
+        # The polynomial case predicts its data from its exact coefficients
+        # on a 3x2 table set: one per sensor, not one per cell; the rows
+        # equal lone inversions.
         from heatsource import harness
 
         case = get_case("polynomial")
@@ -268,7 +289,7 @@ class TestSweep:
                         seed=7)
         monkeypatch.undo()
         assert generated == [0.3, 1.7]
-        assert data_tables == [(0.3, 16, 16), (1.7, 16, 16)]
+        assert data_tables == [(0.3, 3, 2), (1.7, 3, 2)]
         for cell, report in zip(cells, reports):
             alone = invert_case(case.with_sensor(cell.x_star), cell.n_x,
                                 cell.n_t, ObjectiveConfig(alpha=cell.alpha),
