@@ -262,3 +262,36 @@ def blockwise_gradient(params, meas, cfg, tables):
     g_theta = -2.0 * (tables.final_theta.T @ r_f + tables.sensor_theta.T @ r_s) \
         + 2.0 * cfg.alpha * (tables.penalty_x.T @ pen_x)
     return g_phi, g_theta
+
+
+def legendre_gradient(params, meas, cfg, tables):
+    """The objective's gradient in the Legendre coordinates ``y`` of
+    ``x = T y`` (T block diagonal, on [0, t_f] for phi and [0, L] for
+    theta), summed block by block from the response and penalty tables
+    with their columns mapped by T.  Returns the monomial image ``T g_y``
+    per block ``(phi, theta)``, the direction ``solve`` steps along after
+    a restart, and the squared norm ``|g_y|^2``.
+
+    T is the library's ``legendre_map``, itself checked against
+    ``numpy.polynomial`` in ``test_solver``.  numpy's conversion differs
+    from it by up to an ulp per entry, and the terms of ``g_y`` exceed
+    their sum by about 1e3, so with numpy's T the directions here move by
+    3e-13 relative, against 4e-16 with the library's."""
+    from heatsource.objective import residuals
+    from heatsource.solver import legendre_map
+
+    r_f, r_s = residuals(params, meas, tables)
+    blocks = (
+        (tables.geom.t_final, params.phi, tables.final_phi,
+         tables.sensor_phi, tables.penalty_t),
+        (tables.geom.length, params.theta, tables.final_theta,
+         tables.sensor_theta, tables.penalty_x),
+    )
+    dirs, sq = [], 0.0
+    for top, coef, final, sensor, penalty in blocks:
+        basis = legendre_map(coef.size, top)
+        g_y = (-2.0 * ((final @ basis).T @ r_f + (sensor @ basis).T @ r_s)
+               + 2.0 * cfg.alpha * ((penalty @ basis).T @ (penalty @ coef)))
+        dirs.append(basis @ g_y)
+        sq += float(g_y @ g_y)
+    return tuple(dirs), sq

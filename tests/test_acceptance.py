@@ -21,7 +21,8 @@ from heatsource.model import (MeasurementMesh, PolyParams,
 from heatsource.objective import (Measurements, ObjectiveConfig, cost,
                                   gradient, ridge_solve)
 from heatsource.solver import SolverConfig, solve, stationarity_check
-from oracles import golden_minimize, quad_exp_moment, quad_sine_moment
+from oracles import (golden_minimize, legendre_gradient, quad_exp_moment,
+                     quad_sine_moment)
 
 TR = TruncationPolicy()
 L = 2.0 * math.pi
@@ -182,13 +183,12 @@ def test_criterion_4_step_sizes_match_golden_section(small_problem):
         _, trace, _ = solve(meas, geom, mesh, 6, 5, cfg,
                             SolverConfig(epsilon=1e-300, max_iters=2,
                                          init=params), tables=tables)
-        grads = gradient(params, meas, cfg, tables)
-        dirs = grads
+        dirs, sq = legendre_gradient(params, meas, cfg, tables)
         for n in range(2):
             if n:
-                g_prev, grads = grads, gradient(params, meas, cfg, tables)
-                gamma = (sum(float(g @ g) for g in grads)
-                         / sum(float(g @ g) for g in g_prev))
+                sq_prev = sq
+                grads, sq = legendre_gradient(params, meas, cfg, tables)
+                gamma = sq / sq_prev
                 dirs = (grads[0] + gamma * dirs[0], grads[1] + gamma * dirs[1])
             beta = trace.beta[n + 1]
 

@@ -267,6 +267,22 @@ class TestMain:
         assert float(summary["final_cost"]) == pytest.approx(
             float(summary["cost_floor"]), rel=1e-10)
 
+    def test_noisy_polynomial_12x9_stops_at_floor(self, tmp_path):
+        # epsilon (1e-3) lies below the floor (1.24e-2).  CG in the
+        # monomial coefficients (condition number 3.7e10) ran all 10000
+        # iterations and ended 8.4e-10 relative above the floor, outside
+        # its 3.1e-12 rounding allowance; the Legendre run stops after 79,
+        # 2.1e-12 above it.
+        code = main(["invert", "--case", "polynomial", "--noise_level",
+                     "0.01", "--outdir", str(tmp_path), "--run_id", "poly"])
+        assert code == EXIT_NOT_CONVERGED
+        summary = read_summary(tmp_path / "poly_summary.txt")
+        assert (summary["config.n_x"], summary["config.n_t"]) == ("12", "9")
+        assert summary["status"] == "floor"
+        assert int(summary["iterations"]) <= 100
+        assert float(summary["final_cost"]) == pytest.approx(
+            float(summary["cost_floor"]), rel=1e-11)
+
     @pytest.mark.parametrize("argv, code", [
         (["sweep", "--sweep_alpha", "abc"], EXIT_INVALID_CONFIG),
         (["sweep", "--sweep_n", "0x5"], EXIT_INVALID_CONFIG),
