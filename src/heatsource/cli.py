@@ -418,6 +418,7 @@ def _run_invert(cfg: RunConfig) -> int:
         ("stationarity_worst_margin_mixed", stat.worst_margin_mixed),
         ("stationarity_worst_margin_symmetric", stat.worst_margin_symmetric),
         ("cost_floor", rep.cost_floor),
+        ("returned_cost", rep.returned_cost),
     ])
     print(f"{cfg.run_id}: {rep.status} after {rep.iterations} iterations, "
           f"cost {rep.final_cost:.6e}, E_F {result.errors.e_f:.6e}, "

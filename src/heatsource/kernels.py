@@ -5,6 +5,20 @@ Every series here decays like exp(-(n*pi/L)^2 * t), so partial sums are cut
 at an a-priori bound on the first neglected term.  Moments of monomials
 reduce to stable recurrences; adaptive quadrature appears only in the test
 oracles, never in the library.
+
+Work whose result is known exactly is skipped, never approximated, so the
+values are those of the plain formulas bit for bit:
+
+- the exp-moment series drops an entry once its next terms are below half
+  an ulp of its sums and shrinking, since adding them rounds back to the
+  same sums (see ``_exp_moment_series``);
+- the exp-moment recurrence starts from expm1(-a) = -1 without calling
+  expm1 where a >= 40, where expm1 rounds to exactly -1, and the decay
+  exp(-t*lam^2) of the initial-profile history is +0.0 without calling exp
+  where t*lam^2 >= 746, where exp underflows to exactly that
+  (``_apply_to_negated``);
+- ``sin_modes`` takes the parity of the rounded argument r as
+  r - 2*floor(r/2), exact for integral floats, instead of through int64.
 """
 
 from __future__ import annotations
@@ -81,6 +95,7 @@ def mode_count(amplitude: float, t: float, length: float,
 # Elements per sin_modes block: its scratch is three (points, modes) arrays
 # of about this size however many points there are.  A block holds whole
 # rows, so few modes give tall blocks and little per-block overhead.
+# _apply_to_negated sizes its mask blocks the same way.
 _SIN_BLOCK = 1 << 15
 
 
@@ -100,7 +115,7 @@ def sin_modes(x, length: float, modes: np.ndarray) -> np.ndarray:
     rows = min(u.size, step)
     y = np.empty((rows, modes.size))
     frac = np.empty_like(y)
-    odd = np.empty(y.shape, dtype=np.int64)
+    odd = np.empty_like(y)
     for start in range(0, u.size, step):
         n = min(rows, u.size - start)
         _sin_block(u[start:start + n], modes, out[start:start + n],
@@ -115,8 +130,11 @@ def _sin_block(u, modes, r, y, frac, odd):
     np.multiply.outer(u, modes, out=y)
     np.round(y, out=r)
     np.subtract(y, r, out=frac)
-    np.copyto(odd, r, casting="unsafe")
-    odd &= 1
+    # Parity of the integral r as r - 2*floor(r/2), exact in floats.
+    np.multiply(r, 0.5, out=odd)
+    np.floor(odd, out=odd)
+    np.multiply(odd, 2.0, out=odd)
+    np.subtract(r, odd, out=odd)
     # Snap fractional parts indistinguishable from argument rounding to 0.
     np.abs(y, out=y)
     np.maximum(y, 1.0, out=y)
@@ -209,6 +227,29 @@ def sine_moment(m: int, n: int, length: float) -> float:
 
 _SERIES_SWITCH_BASE = 30.0
 
+# Arguments from which func(-x) is known exactly without calling func:
+# expm1(-x) rounds to -1 once exp(-x) is below half an ulp of 1 (x > 37.43),
+# and exp(-x) to +0.0 below half the smallest subnormal (x > 745.14).
+_EXPM1_SATURATION = 40.0
+_EXP_UNDERFLOW = 746.0
+
+
+def _apply_to_negated(func, x: np.ndarray, bound: float, saturated: float):
+    """Overwrite the 2-d array x with func(-x), calling func only where
+    x < bound (or x is NaN) and writing ``saturated`` elsewhere, the value
+    func(-x) rounds to exactly for every x >= bound.  Works over blocks of
+    rows, so its scratch mask does not grow with x."""
+    step = max(1, _SIN_BLOCK // (x.shape[1] or 1))
+    beyond = np.empty((min(step, x.shape[0]), x.shape[1]), dtype=bool)
+    for start in range(0, x.shape[0], step):
+        block = x[start:start + step]
+        mask = beyond[:len(block)]
+        np.greater_equal(block, bound, out=mask)
+        np.negative(block, out=block)
+        np.copyto(block, saturated, where=mask)
+        np.logical_not(mask, out=mask)
+        func(block, out=block, where=mask)
+
 
 def exp_moment_rows(max_power: int, lam_sq, t):
     """Yield (p, J_p) for p = 0..max_power, where J_p = integral of
@@ -220,25 +261,30 @@ def exp_moment_rows(max_power: int, lam_sq, t):
     small arguments switch to the positive-term series
     J_p = t^(p+1) * exp(-a) * sum_j a^j / (j! * (p+1+j)).
 
+    The recurrence starts from J_0 = -expm1(-a)/lam_sq, and expm1 runs only
+    where a < 40: from there on expm1(-a) is exactly -1 (exp(-a) < 4.3e-18
+    is below half an ulp of 1), so writing -1 there gives the same bits.
+
     Every J_p is the same reused buffer: consume it before the next step.
     """
     lam_sq = np.asarray(lam_sq, dtype=float)
     t = np.asarray(t, dtype=float)
     a = np.multiply.outer(lam_sq, t)
     switch = max(_SERIES_SWITCH_BASE, 2.0 * max_power)
-    # Flat indices of the small entries; their times are t[idx % len(t)],
-    # so the (modes, times) grid of t is never materialised.
+    # Flat indices of the small entries, ordered by a as the series wants
+    # them; their times are t[idx % len(t)], so the (modes, times) grid of
+    # t is never materialised.
     small = np.flatnonzero(a < switch)
     series = None
     if small.size:
+        small = small.take(a.take(small).argsort())
         series = _exp_moment_series(max_power, a.take(small),
                                     t.take(small % t.size))
     ls = lam_sq[:, None]
     # The recurrence runs in place in a's storage.  The small entries carry
     # series values into the next step, which overwrites them again.
     j = a
-    np.negative(j, out=j)
-    np.expm1(j, out=j)
+    _apply_to_negated(np.expm1, j, _EXPM1_SATURATION, -1.0)
     np.negative(j, out=j)
     np.divide(j, ls, out=j)
     t_pow = np.ones_like(t)
@@ -264,24 +310,69 @@ def exp_moment_stack(max_power: int, lam_sq, t) -> np.ndarray:
     return out
 
 
+def _series_steps(a_max: float) -> int:
+    """Terms the series adds for a largest argument a_max: up to the first
+    j with a_max^j/j! < 1e-20, at most int(a_max) + 80.
+
+    The term recurrence fl(fl(term*a)/(j+1)) is monotone in a, so its
+    largest value at every j is the one at a_max; this scalar run of it
+    stops exactly where the array's largest term would stop the loop.
+    """
+    limit = int(a_max) + 80
+    term = 1.0
+    for j in range(limit):
+        if term < 1e-20:
+            return j + 1
+        term = term * a_max / (j + 1.0)
+    return limit
+
+
 def _exp_moment_series(max_power: int, a: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Positive-term series for J_p on flat arrays a = lam_sq*t and t."""
-    powers = np.arange(max_power + 1, dtype=float)
+    """Positive-term series for J_p on flat arrays a = lam_sq*t, sorted
+    ascending, and t.
+
+    An entry leaves the loop once its sums cannot move again.  From a step
+    j > a + 1 on, its terms a^j/j! do not grow (their exact ratio a/(j+1)
+    is below (j-1)/(j+1), and rounding is monotone), so neither do its
+    quotients term/(p+1+j).  Once the quotient just added, times 2^54, is
+    below the sum for every power, every later quotient is below half an
+    ulp of that sum (which exceeds sum/2^54) and adding it rounds back to
+    the same sum.  Small a converges first, so the loop runs on the suffix
+    of entries still moving; its length is the full loop's
+    (``_series_steps``), and every value is the full loop's bit for bit.
+    """
+    first_denom = np.arange(1.0, max_power + 2.0)[:, None]  # p + 1
     acc = np.zeros((max_power + 1, a.size))
     quot = np.empty_like(acc)
     term = np.ones_like(a)  # a^j / j!
-    limit = int(a.max(initial=0.0)) + 80
-    for j in range(limit):
-        np.divide(term[None, :], powers[:, None] + 1.0 + j, out=quot)
-        acc += quot
-        if term.max(initial=0.0) < 1e-20:
-            break
-        np.multiply(term, a, out=term)
-        np.divide(term, j + 1.0, out=term)
-    # acc[p] becomes t^(p+1) * exp(-a) * acc[p], in place.
-    damp = np.negative(a)
+    steps = _series_steps(float(a[-1]))
+    # ready[j]: the count of entries with a < j - 1.
+    ready = np.searchsorted(a, np.arange(steps) - 1.0).tolist()
+    lo = 0  # entries before lo have converged
+    q, s, tm, am = quot, acc, term, a  # views of the entries from lo on
+    for j in range(steps):
+        np.divide(tm, first_denom + j, out=q)
+        s += q
+        if ready[j] > lo:
+            # quot[p] <= quot[0] and acc[p] >= acc[max_power] (rounding is
+            # monotone), so one pair of rows decides for every power.
+            head = q[0, :ready[j] - lo]
+            np.multiply(head, 2.0 ** 54, out=head)
+            moving = np.greater_equal(head, s[-1, :head.size])
+            first = int(moving.argmax())
+            done = first if moving[first] else head.size
+            if done:
+                lo += done
+                if lo == a.size:
+                    break
+                q, s, tm, am = quot[:, lo:], acc[:, lo:], term[lo:], a[lo:]
+        np.multiply(tm, am, out=tm)
+        np.divide(tm, j + 1.0, out=tm)
+    # acc[p] becomes t^(p+1) * exp(-a) * acc[p], in place; the spent term
+    # and quotient buffers hold exp(-a) and the factor.
+    damp = np.negative(a, out=term)
     np.exp(damp, out=damp)
-    factor = np.empty_like(a)
+    factor = quot[0]
     t_pow = t.copy()  # t^(p+1)
     for p in range(max_power + 1):
         np.multiply(t_pow, damp, out=factor)

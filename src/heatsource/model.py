@@ -19,7 +19,9 @@ from numpy.polynomial import polynomial as npoly
 from .errors import DomainError, ShapeMismatchError, TruncationWarning
 from .kernels import (
     DEFAULT_TRUNCATION,
+    _EXP_UNDERFLOW,
     TruncationPolicy,
+    _apply_to_negated,
     exp_moment_rows,
     exp_moment_stack,
     mode_count,
@@ -216,9 +218,11 @@ def _theta_history(ts, length: float, n_theta: int, trunc: TruncationPolicy):
     weights = sine_moment_stack(n_theta - 1, modes, length)
 
     def at(xs):
+        # exp runs only where t lam^2 < 746, a leading run of each row as
+        # the modes ascend, whatever the order of the times; beyond, it
+        # underflows to exactly +0.0.
         decay = np.multiply.outer(ts, lam * lam)
-        np.negative(decay, out=decay)
-        np.exp(decay, out=decay)
+        _apply_to_negated(np.exp, decay, _EXP_UNDERFLOW, 0.0)
         # (2/L) * decay * sin per point, in one scratch shared by all points
         # but the last, which scales decay itself; each product is a fresh
         # table.

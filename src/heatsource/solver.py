@@ -147,6 +147,7 @@ class ConvergenceReport:
     grad_theta_norm: float
     stationarity: StationarityCheck | None = None
     cost_floor: float = math.nan  # minimum of the objective
+    returned_cost: float = math.nan  # cost of the returned coefficients
 
     @property
     def converged(self) -> bool:
@@ -236,8 +237,9 @@ def solve(meas: Measurements, geom: Geometry, mesh: MeasurementMesh,
     Non-finite cost or gradients raise DivergenceError with the trace
     attached; hitting max_iters returns the best iterate seen with status
     "not_converged".  The report's cost and gradient norms come from the
-    true residual ``rhs - A y`` of the returned iterate; the cost of its
-    monomial image ``x = T y`` differs from it by the rounding of ``T``.
+    true residual ``rhs - A y`` of the returned iterate.  Its
+    ``returned_cost`` is ``|rhs - M x|^2`` of the monomial image ``x = T y``
+    that is returned, which differs from it by the rounding of ``T``.
     """
     if tables is None:
         tables = sensitivity_tables(geom, mesh, n_x, n_t, trunc)
@@ -322,6 +324,7 @@ def solve(meas: Measurements, geom: Geometry, mesh: MeasurementMesh,
         r = rhs - stacked_legendre @ y
         g = -2.0 * (r @ stacked)
     x = basis @ y
+    r_x = rhs - stacked @ x
     params = PolyParams(phi=x[n_x:], theta=x[:n_x])
     report = ConvergenceReport(
         status=status,
@@ -331,6 +334,7 @@ def solve(meas: Measurements, geom: Geometry, mesh: MeasurementMesh,
         grad_theta_norm=float(np.linalg.norm(g[:n_x])),
         stationarity=stationarity_check(params, meas, obj_cfg, tables),
         cost_floor=floor,
+        returned_cost=float(r_x @ r_x),
     )
     return params, trace, report
 

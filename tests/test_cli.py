@@ -283,6 +283,41 @@ class TestMain:
         assert float(summary["final_cost"]) == pytest.approx(
             float(summary["cost_floor"]), rel=1e-11)
 
+    def test_summary_reports_the_cost_of_the_returned_coefficients(
+            self, tmp_path):
+        # final_cost is the Legendre iterate's; returned_cost is the
+        # objective at the monomial coefficients x = T y that invert
+        # returns, appended after the earlier keys.
+        from heatsource.harness import (generate_measurements, get_case,
+                                        invert_case)
+        from heatsource.model import MeasurementMesh, sensitivity_tables
+        from heatsource.objective import ObjectiveConfig, cost
+        from heatsource.output import format_value
+        from heatsource.solver import SolverConfig
+
+        code = main(["invert", "--case", "polynomial", "--noise_level",
+                     "0.01", "--outdir", str(tmp_path), "--run_id", "poly"])
+        assert code == EXIT_NOT_CONVERGED
+        summary = read_summary(tmp_path / "poly_summary.txt")
+        assert list(summary)[:16] == [
+            "status", "converged", "iterations", "final_cost",
+            "grad_phi_norm", "grad_theta_norm", "e_f", "e_u0",
+            "fit_residual_f", "fit_residual_u0", "stationarity_holds_mixed",
+            "stationarity_holds_symmetric", "stationarity_worst_margin_mixed",
+            "stationarity_worst_margin_symmetric", "cost_floor",
+            "returned_cost"]
+        case = get_case("polynomial")
+        obj_cfg = ObjectiveConfig(alpha=1e-6)
+        result = invert_case(case, 12, 9, obj_cfg, SolverConfig(),
+                             noise_level=0.01, seed=42)
+        mesh = MeasurementMesh.regular(case.geometry, 100, 100)
+        want = cost(result.params, generate_measurements(case, mesh, 0.01, 42),
+                    obj_cfg, sensitivity_tables(case.geometry, mesh, 12, 9))
+        assert result.report.returned_cost == want
+        assert summary["returned_cost"] == format_value(want)
+        assert want != result.report.final_cost
+        assert want == pytest.approx(result.report.final_cost, rel=1e-8)
+
     @pytest.mark.parametrize("argv, code", [
         (["sweep", "--sweep_alpha", "abc"], EXIT_INVALID_CONFIG),
         (["sweep", "--sweep_n", "0x5"], EXIT_INVALID_CONFIG),

@@ -342,6 +342,101 @@ class TestExpMoment:
             exp_moment(1, 1.0, -0.1)
 
 
+class TestSkippedWork:
+    """Boundary cases of the work the kernels skip because its result is
+    known exactly: converged series entries, expm1(-a) = -1 for a > 40 and
+    the int64 parity.  Each is compared bit for bit with the out-of-place
+    formulas, which do all of that work."""
+
+    @staticmethod
+    def _assert_rows_equal_reference(max_power, lam_sq, ts):
+        ref = exp_moment_stack_reference(max_power, lam_sq, ts)
+        for p, moment in exp_moment_rows(max_power, lam_sq, ts):
+            assert np.array_equal(moment, ref[p]), (max_power, p)
+        assert np.array_equal(exp_moment_stack(max_power, lam_sq, ts), ref)
+
+    def test_premises_of_the_skips(self):
+        # The libm results the skips stand in for.
+        a = np.concatenate([np.nextafter(40.0, np.inf, dtype=float)[None],
+                            np.linspace(40.0, 60.0, 10_001)[1:],
+                            np.geomspace(60.0, 1e300, 1_001)])
+        assert np.all(np.expm1(-a) == -1.0)
+        x = np.concatenate([[746.0], np.linspace(746.0, 800.0, 10_001),
+                            np.geomspace(800.0, 1e300, 1_001)])
+        v = np.exp(-x)
+        assert np.all(v == 0.0) and not np.any(np.signbit(v))
+
+    @pytest.mark.parametrize("max_power", [0, 1, 8, 20])
+    def test_zero_and_integer_arguments(self, max_power):
+        # a = lam_sq * t = 0 (t = 0) and every integer up to the switch,
+        # unsorted and repeated.
+        ts = np.array([3.0, 0.0, 17.0, 1.0, 0.0, 29.0, 2.0, 39.0, 17.0])
+        self._assert_rows_equal_reference(max_power, np.array([1.0]), ts)
+        self._assert_rows_equal_reference(max_power, np.array([1.0, 0.5]),
+                                          np.arange(0.0, 80.0))
+
+    @pytest.mark.parametrize("max_power", [0, 20])
+    @pytest.mark.parametrize("a", [0.0, 1e-300, 0.5, 1.0, 7.0, 29.999, 30.0,
+                                   39.999, 40.0, 40.001, 1e3])
+    def test_one_entry(self, max_power, a):
+        self._assert_rows_equal_reference(max_power, np.array([1.0]),
+                                          np.array([a]))
+
+    @pytest.mark.parametrize("max_power", [0, 8, 19, 20])
+    def test_arguments_around_the_expm1_saturation(self, max_power):
+        # With max_power 20 the series switch is 40 itself: 39.999 takes the
+        # series, 40 the recurrence from expm1 and 40.001 the recurrence
+        # from -1 without expm1.
+        for lam_sq, ts in ((np.array([1.0]), np.array([39.999, 40.0, 40.001])),
+                           (np.array([4.0, 1.0, 0.25]),
+                            np.array([10.00025, 9.99975, 10.0, 160.0,
+                                      159.996, 160.004]))):
+            assert {39.999, 40.0, 40.001} <= set(
+                np.multiply.outer(lam_sq, ts).ravel().tolist())
+            self._assert_rows_equal_reference(max_power, lam_sq, ts)
+
+    @pytest.mark.parametrize("max_power", [0, 20])
+    def test_random_arguments_with_extreme_powers(self, max_power):
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            lam_sq = np.exp(rng.uniform(-3.0, 5.0, int(rng.integers(1, 30))))
+            ts = rng.uniform(0.0, 8.0, int(rng.integers(1, 30)))
+            self._assert_rows_equal_reference(max_power, lam_sq, ts)
+
+    def test_loop_length_is_the_largest_entry_s(self):
+        # _series_steps(a) is where a full-array loop over terms that
+        # include a would stop on term.max() < 1e-20 or at its limit.
+        from heatsource.kernels import _series_steps
+
+        for a_max in (0.0, 1e-300, 0.3, 1.0, 2.5, 10.0, 29.9975, 30.0, 39.99,
+                      40.0, 77.7):
+            a = np.array([0.0, a_max / 3.0, a_max])
+            term = np.ones_like(a)
+            limit = int(a.max()) + 80
+            for j in range(limit):
+                if term.max() < 1e-20:
+                    break
+                term = term * a / (j + 1.0)
+            assert _series_steps(a_max) == min(j + 1, limit), a_max
+
+    def test_signed_zeros_at_integral_arguments(self):
+        # n x / L integral: +0.0 where it is even, -0.0 where it is odd,
+        # for points inside, at the ends of and outside the rod.
+        modes = np.arange(1, 10, dtype=float)
+        for length in (L, 1.0, 3.0):
+            x = length * np.array([-3.0, -2.0, -1.0, -0.5, -0.0, 0.0, 0.5,
+                                   1.0, 2.0, 3.0])
+            got = sin_modes(x, length, modes)
+            want = sin_modes_reference(x, length, modes)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            r = np.multiply.outer(x / length, modes)
+            whole = r == np.round(r)
+            assert np.all(got[whole] == 0.0)
+            assert np.array_equal(np.signbit(got[whole]),
+                                  np.abs(r[whole]) % 2.0 == 1.0)
+
+
 def test_no_warning_under_default_policy():
     with warnings.catch_warnings():
         warnings.simplefilter("error", TruncationWarning)

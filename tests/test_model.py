@@ -412,6 +412,35 @@ class TestStreamedHistory:
                             checked += 1
         assert checked == 2 * 6 * 3 * (1 + 5)
 
+    @pytest.mark.parametrize("n_theta", [1, 5, 12])
+    def test_theta_history_around_the_exp_underflow(self, n_theta):
+        # With L = pi, lam = n exactly: t lam^2 lands on 745.9, 746 and
+        # 746.1 at modes 1, 2 and 4, beside early times that keep many
+        # modes.  Times unsorted and repeated; exp is skipped from 746 on.
+        # At t = 744 only mode 1 is left, with exp(-744) a subnormal.
+        from heatsource.model import _theta_modes
+        from oracles import theta_history_reference
+
+        length = math.pi
+        edges = np.array([745.9, 746.0, 746.1])
+        ts = np.concatenate([edges / 16.0, [0.05], edges, [2.0, 0.05],
+                             edges / 4.0, [746.0 / 16.0, 1e-3, 746.0, 744.0]])
+        modes = _theta_modes(n_theta, float(ts.min()), length, TR)
+        lam_sq = ((math.pi / length) * modes) ** 2
+        products = set(np.multiply.outer(ts, lam_sq).ravel().tolist())
+        assert set(edges.tolist()) <= products
+        reference = theta_history_reference(ts, length, n_theta, modes)
+        for x in (0.0, 0.4, 1.0, length / 2.0, length):
+            got = theta_response_history(x, ts, length, n_theta, TR)
+            want = reference(x)
+            assert np.array_equal(got, want), (n_theta, x)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            if 0.0 < x < length:
+                assert np.any(got[-1] != 0.0)
+        # A time at which every mode has underflowed gives exact zeros.
+        assert np.all(theta_response_history(0.4, [746.0, 1e6], length,
+                                             n_theta, TR) == 0.0)
+
     @staticmethod
     def _traced_peak(name, nodes, n_x, n_t):
         import tracemalloc
