@@ -69,6 +69,19 @@ class TruncationPolicy:
 
 DEFAULT_TRUNCATION = TruncationPolicy()
 
+# TruncationWarnings issued so far, counted whatever the warning filters do
+# with them: model.sensitivity_tables keeps no table layer whose build
+# issued one, so that every build of it warns again.
+_truncations_issued = 0
+
+
+def _warn_truncated(message: str, stacklevel: int) -> None:
+    """Issue a TruncationWarning attributed ``stacklevel`` frames up from
+    the caller, as ``warnings.warn`` there would, and count it."""
+    global _truncations_issued
+    _truncations_issued += 1
+    warnings.warn(message, TruncationWarning, stacklevel=stacklevel + 1)
+
 
 def mode_count(amplitude: float, t: float, length: float,
                trunc: TruncationPolicy) -> int:
@@ -82,10 +95,9 @@ def mode_count(amplitude: float, t: float, length: float,
     needed = math.ceil(length / math.pi * math.sqrt(math.log(ratio) / t))
     needed = max(needed, 1)
     if needed > trunc.max_terms:
-        warnings.warn(
+        _warn_truncated(
             f"series cut at {trunc.max_terms} modes before the tail bound "
             f"reached tol={trunc.tol:g}",
-            TruncationWarning,
             stacklevel=2,
         )
         return trunc.max_terms

@@ -10,18 +10,20 @@ frame x' = x - offset in [0, L]; only user-facing values carry the offset.
 from __future__ import annotations
 
 import math
-import warnings
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import DomainError, ShapeMismatchError, TruncationWarning
+from . import kernels
+from .errors import DomainError, ShapeMismatchError
 from .kernels import (
     DEFAULT_TRUNCATION,
     _EXP_UNDERFLOW,
     TruncationPolicy,
     _apply_to_negated,
+    _warn_truncated,
     exp_moment_rows,
     exp_moment_stack,
     mode_count,
@@ -274,10 +276,9 @@ def _phi_modes(n_phi: int, t_min: float, t_max: float, length: float,
         tail_coef = (4.0 / length) * (length / math.pi) ** 7 / 12.0
         n = max(n, math.ceil((tail_coef / bound) ** (1.0 / 6.0)))
     if n > trunc.max_terms:
-        warnings.warn(
+        _warn_truncated(
             f"source-response series cut at {trunc.max_terms} modes before "
             f"the tail bound reached tol={trunc.tol:g}",
-            TruncationWarning,
             stacklevel=3,
         )
         n = trunc.max_terms
@@ -361,8 +362,11 @@ class SensitivityTables:
     Rows correspond to the mesh nodes from index 1 on.  ``final_*`` tables
     give the final-time profile response at x_i, ``sensor_*`` the interior
     history response at t_j; ``penalty_*`` are the plain monomial values
-    entering the regularization sums.  Computed once per problem and shared
-    read-only afterwards.
+    entering the regularization sums.  ``sensitivity_tables`` reuses the
+    sensor-independent layer of the last rod and mesh only, never one whose
+    build issued a TruncationWarning; the ``final_*`` and ``penalty_*``
+    arrays it returns are read-only and shared with later calls on that rod
+    and mesh.
 
     The memory layout of each table is part of the result: ``predict`` and
     the solvers multiply by these arrays through BLAS, whose summation
@@ -454,12 +458,61 @@ def rod_tables(geom: Geometry, mesh: MeasurementMesh, n_x: int, n_t: int,
                      _phi_history(ts, length, n_t, trunc))
 
 
+# The layers sensitivity_tables built on the last rod and mesh it was called
+# on: (key of that rod and mesh, {(n_x, n_t, trunc): RodTables}).  A dict
+# only ever receives layers of its own key, so calls racing on two rods can
+# lose a layer but never return one of the other rod.
+_kept = (None, {})
+
+
+def _read_only_layer(geom: Geometry, mesh: MeasurementMesh, n_x: int,
+                     n_t: int, trunc: TruncationPolicy) -> RodTables:
+    """``rod_tables`` on read-only copies of the mesh nodes, with read-only
+    final and penalty tables, so it shares no writable array with anyone."""
+    nodes = [array.copy() for array in (mesh.x_nodes, mesh.t_nodes)]
+    for array in nodes:
+        array.flags.writeable = False
+    layer = rod_tables(geom, MeasurementMesh(*nodes), n_x, n_t, trunc)
+    for array in (layer.final_theta, layer.final_phi, layer.penalty_x,
+                  layer.penalty_t):
+        array.flags.writeable = False
+    return layer
+
+
 def sensitivity_tables(geom: Geometry, mesh: MeasurementMesh, n_x: int,
                        n_t: int,
                        trunc: TruncationPolicy = DEFAULT_TRUNCATION
                        ) -> SensitivityTables:
-    """Build the four response tables and the penalty monomial tables."""
-    return rod_tables(geom, mesh, n_x, n_t, trunc).at_sensors([geom.sensor])[0]
+    """Build the four response tables and the penalty monomial tables.
+
+    The sensor-independent layer (``rod_tables``) is kept for the last rod
+    and mesh only, one per ``(n_x, n_t, trunc)``: a later call on the same
+    offset, length, t_final and node values, at any sensor, builds just the
+    sensor histories, and a call on another rod or mesh drops every kept
+    layer.  A build that issued a TruncationWarning is not kept, so each
+    such call warns again.  The final and penalty tables are read-only and
+    are computed from copies of the nodes, so writing to the mesh later
+    reaches no kept layer.  The tables carry the caller's ``geom`` and
+    ``mesh`` and equal a fresh build bit for bit, layout included.
+    """
+    global _kept
+    # n_x=6.0 must fail as a build does, not find the layer kept for 6.
+    size = (operator.index(n_x), operator.index(n_t), trunc)
+    rod = (geom.offset, geom.length, geom.t_final, mesh.x_nodes.tobytes(),
+           mesh.t_nodes.tobytes())
+    kept_rod, layers = _kept
+    if kept_rod != rod:
+        layers = {}
+        _kept = (rod, layers)
+    layer = layers.get(size)
+    if layer is None:
+        issued = kernels._truncations_issued
+        layer = _read_only_layer(geom, mesh, n_x, n_t, trunc)
+        if kernels._truncations_issued == issued:
+            layers[size] = layer
+    [tables] = layer.at_sensors([geom.sensor])
+    return replace(tables, geom=geom, mesh=mesh, n_x=n_x, n_t=n_t,
+                   trunc=trunc)
 
 
 # ---------------------------------------------------------------------------

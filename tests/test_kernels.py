@@ -258,8 +258,8 @@ class TestExpMoment:
                 for j, t in enumerate(ts):
                     assert stack[p, i, j] == exp_moment(p + 1, float(c), float(t))
 
-    def test_stack_bitwise_equals_reference_on_model_inputs(self,
-                                                            monkeypatch):
+    def test_stack_bitwise_equals_reference_on_model_inputs(
+            self, monkeypatch, cold_table_memo):
         # Every moment the table builders ask for, on the rods, meshes and
         # sizes the commands use, equals the out-of-place formula bit for
         # bit (so tables, CSVs and solver paths do not move): the stack of

@@ -149,6 +149,24 @@ def test_source_response_respects_max_terms_cap():
         phi_response_profile([1.0], 2.0, L, 12, tight)
 
 
+def test_capped_table_builds_warn_on_every_call(cold_table_memo):
+    # A layer whose build warned is not kept, so a repeated call builds and
+    # warns again; the final profiles and both histories hit the cap.
+    from heatsource.errors import TruncationWarning
+    from heatsource.harness import get_case
+
+    geom = get_case("example1").geometry
+    mesh = MeasurementMesh.regular(geom, 100, 100)
+    tight = TruncationPolicy(tol=1e-12, max_terms=50)
+    counts = []
+    for _ in range(2):
+        with pytest.warns(TruncationWarning) as caught:
+            sensitivity_tables(geom, mesh, 12, 9, tight)
+        counts.append(sum(issubclass(w.category, TruncationWarning)
+                          for w in caught))
+    assert counts == [4, 4]
+
+
 class TestSourceResponseClosedForms:
     """Duhamel solutions for constant and linear sources, derived by hand
     from the steady state plus a decaying transient, pin the assembled
@@ -333,6 +351,102 @@ class TestRodTables:
             rod.at_sensors([geom.sensor, geom.offset - 0.1])
 
 
+class TestKeptLayers:
+    """sensitivity_tables keeps the layers of the last rod and mesh: the
+    tables it returns equal fresh builds bit for bit, layout included, and
+    share no writable memory with the caller or with each other."""
+
+    FIELDS = ("final_theta", "final_phi", "sensor_theta", "sensor_phi",
+              "penalty_x", "penalty_t")
+    SHARED = ("final_theta", "final_phi", "penalty_x", "penalty_t")
+
+    def test_scan_order_equals_fresh_builds(self, cold_table_memo,
+                                            monkeypatch):
+        # The call order of a sensor scan: per sensor, the 3x2 data tables
+        # and two reconstruction sizes, on a new geometry and mesh object
+        # each time; a second rod drops the first rod's layers, and the
+        # first rod builds them again when it comes back.
+        from heatsource import model
+        from heatsource.harness import get_case
+
+        stacks = []
+        real_stack = model.exp_moment_stack
+
+        def counting_stack(*args, **kwargs):
+            stacks.append(args[0])
+            return real_stack(*args, **kwargs)
+
+        monkeypatch.setattr(model, "exp_moment_stack", counting_stack)
+        sizes = ((3, 2), (6, 5), (12, 9))
+        scan = [("example1", (-1.34, 0.99, 2.97)),
+                ("polynomial", (0.3, 1.0, 1.7)),
+                ("example1", (-0.17, 2.15, 2.97))]
+        built = 0
+        for name, sensors in scan:
+            base = get_case(name).geometry
+            used = set()
+            for x_star in sensors:
+                g = base.with_sensor(x_star)
+                m = MeasurementMesh.regular(g, 50, 50)
+                for n_x, n_t in sizes:
+                    calls = len(stacks)
+                    got = sensitivity_tables(g, m, n_x, n_t, TR)
+                    built += len(stacks) - calls
+                    used.add((n_x, n_t))
+                    assert len(model._kept[1]) <= len(used)
+                    assert got.geom is g and got.mesh is m
+                    assert (got.n_x, got.n_t, got.trunc) == (n_x, n_t, TR)
+                    [want] = rod_tables(g, m, n_x, n_t, TR).at_sensors(
+                        [x_star])
+                    for field in self.FIELDS:
+                        a, b = getattr(got, field), getattr(want, field)
+                        key = (name, x_star, n_x, n_t, field)
+                        assert np.array_equal(a, b), key
+                        assert np.array_equal(np.signbit(a),
+                                              np.signbit(b)), key
+                        assert (a.flags.c_contiguous, a.flags.f_contiguous) \
+                            == (b.flags.c_contiguous,
+                                b.flags.f_contiguous), key
+                    assert got.sensor_phi.flags.f_contiguous
+        # One final-profile moment stack per rod visit and size.
+        assert built == len(scan) * len(sizes)
+
+    def test_shared_tables_are_read_only(self, geom, mesh):
+        first = sensitivity_tables(geom, mesh, 6, 5, TR)
+        second = sensitivity_tables(geom.with_sensor(0.99), mesh, 6, 5, TR)
+        for tables in (first, second):
+            for field in self.SHARED:
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(tables, field)[0, 0] = 1.0
+        # The histories are the caller's own.
+        second.sensor_phi[0, 0] = 1.0
+        assert first.sensor_phi[0, 0] != 1.0
+
+    def test_writes_to_the_mesh_reach_no_kept_layer(self, cold_table_memo,
+                                                    geom):
+        # After the caller scales its mesh's times in place, the scaled
+        # mesh and an unscaled twin each get the tables of a fresh build,
+        # and the tables returned before keep their values.
+        m = MeasurementMesh.regular(geom, 40, 40)
+        before = sensitivity_tables(geom, m, 6, 5, TR)
+        kept = {f: getattr(before, f).copy() for f in self.FIELDS}
+        m.t_nodes[:] *= 0.5
+        twin = MeasurementMesh.regular(geom, 40, 40)
+        results = []
+        for mesh_now in (twin, m, twin):
+            got = sensitivity_tables(geom, mesh_now, 6, 5, TR)
+            results.append(got)
+            [fresh] = rod_tables(geom, mesh_now, 6, 5, TR).at_sensors(
+                [geom.sensor])
+            for field in self.FIELDS:
+                assert np.array_equal(getattr(got, field),
+                                      getattr(fresh, field)), field
+        for field in self.FIELDS:
+            assert np.array_equal(getattr(before, field), kept[field]), field
+        assert not np.array_equal(results[0].sensor_phi,
+                                  results[1].sensor_phi)
+
+
 class TestStreamedHistory:
     """The source-response history, streamed one moment power at a time,
     equals the stacked computation it replaced bit for bit, in the same
@@ -458,13 +572,13 @@ class TestStreamedHistory:
             tracemalloc.stop()
         return peak
 
-    def test_traced_peak_of_a_table_build(self):
+    def test_traced_peak_of_a_table_build(self, cold_table_memo):
         # example1, 12x9, 2000 nodes: the stacked build peaked at 63.8 MB,
         # the streamed one with whole-mesh temporaries at 22.7 MB.
         peak = self._traced_peak("example1", 2000, 12, 9)
         assert peak <= 12e6, peak / 1e6
 
-    def test_traced_peak_of_a_forward_build(self):
+    def test_traced_peak_of_a_forward_build(self, cold_table_memo):
         # The tables of `heatsource forward` (polynomial, 2x3, 4000 nodes)
         # peaked at 14.2 MB with whole-mesh theta-history temporaries.
         peak = self._traced_peak("polynomial", 4000, 2, 3)
