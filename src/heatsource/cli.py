@@ -1,21 +1,21 @@
 """Command-line front end.
 
-Usage: ``heatsource <command> [--config PATH] [--key value ...]`` with
-commands ``forward``, ``invert``, ``sweep``, ``sensitivity``.  Configuration
-is a flat key=value text file with '#' comments; command-line flags use the
-same key names and override file values.  Every run writes a machine-
-readable key=value summary (results plus a ``config.``-prefixed echo of the
-effective configuration) and per-command CSV artifacts.
+Usage: heatsource <command> [--config PATH] [--key value | --key=value ...]
+
+Commands: forward, invert, sweep, sensitivity.  A config file holds key=value
+lines ('#' starts a comment).  Flags take the same keys, in full, through the
+same parser, and override the file; the token after a bare --key is always
+its value.  Every run writes a key=value summary (results plus a config.-
+prefixed echo of the effective configuration) and per-command CSV artifacts.
 """
 
 from __future__ import annotations
 
-import argparse
 import logging
 import math
 import os
-import re
 import sys
+import textwrap
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
@@ -26,7 +26,6 @@ from .errors import DivergenceError, HeatSourceError
 from .harness import (ErrorReport, SweepCell, default_sensors,
                       emit_sensitivity_data, get_case, invert_case,
                       sensitivity_demo_geometry, sweep)
-from .kernels import TruncationPolicy
 from .model import MeasurementMesh, PolyParams, sensitivity_tables
 from .objective import ObjectiveConfig
 from .output import OutputError, write_csv, write_key_values
@@ -91,17 +90,14 @@ class RunConfig:
     case: str = "example1"
     n_x: int = 12
     n_t: int = 9
-    alpha: float = 1e-6
-    epsilon: float = 1e-3
-    max_iters: int = 10_000
-    restart_period: int | None = None
+    alpha: float = ObjectiveConfig.alpha
+    epsilon: float = SolverConfig.epsilon
+    max_iters: int = SolverConfig.max_iters
     noise_level: float = 0.0
     seed: int = 42
     i_x: int = 100
     i_t: int = 100
     x_star: float | None = None
-    trunc_tol: float = 1e-12
-    max_terms: int = 10_000
     outdir: str = ""  # resolved to HEATSOURCE_OUTDIR, then "."
     run_id: str = ""
     phi: tuple = ()
@@ -162,12 +158,6 @@ def _parse_float(raw, key):
     return value
 
 
-def _parse_optional_int(raw, key):
-    if raw.strip().lower() in ("", "none"):
-        return None
-    return _parse_int(raw, key)
-
-
 def _parse_optional_float(raw, key):
     if raw.strip().lower() in ("", "none"):
         return None
@@ -188,7 +178,6 @@ _PARSERS = {
         "str": _parse_str,
         "int": _parse_int,
         "float": _parse_float,
-        "int | None": _parse_optional_int,
         "float | None": _parse_optional_float,
         "tuple": _parse_floats,
     }[f.type]
@@ -202,14 +191,10 @@ _RANGES = {
     "alpha": (lambda v: v >= 0.0, "alpha must be >= 0"),
     "epsilon": (lambda v: v > 0.0, "epsilon must be > 0"),
     "max_iters": (lambda v: v >= 0, "max_iters must be >= 0"),
-    "restart_period": (lambda v: v is None or v >= 1,
-                       "restart_period must be >= 1 or none"),
     "noise_level": (lambda v: v >= 0.0, "noise_level must be >= 0"),
     "seed": (lambda v: v >= 0, "seed must be an integer >= 0"),
     "i_x": (lambda v: v >= 1, "i_x must be an integer >= 1"),
     "i_t": (lambda v: v >= 1, "i_t must be an integer >= 1"),
-    "trunc_tol": (lambda v: v > 0.0, "trunc_tol must be > 0"),
-    "max_terms": (lambda v: v >= 1, "max_terms must be an integer >= 1"),
 }
 
 
@@ -261,7 +246,7 @@ def _read_config_file(path) -> str:
         raise ConfigFileMissingError(
             f"cannot read config file {path}: {exc.strerror}") from None
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")  # a leading byte-order mark is dropped
     except UnicodeDecodeError as exc:
         raise ConfigParseError(
             f"{path}: not UTF-8 text (byte {exc.start})") from None
@@ -280,8 +265,7 @@ def parse_config(path=None, overrides=None) -> RunConfig:
     values = {}
     if path is not None:
         values.update(_parse_lines(_read_config_file(path), f"{path}:"))
-    if overrides:
-        values.update({k: v for k, v in overrides.items() if v is not None})
+    values.update(overrides or {})
     return _build_config(values)
 
 
@@ -295,9 +279,8 @@ def _build_config(raw_values: dict) -> RunConfig:
     if "command" not in raw_values:
         raise ConfigValueError(
             f"missing required key 'command' (one of {', '.join(COMMANDS)})")
-    parsed = {}
-    for key, raw in raw_values.items():
-        parsed[key] = _PARSERS[key](str(raw), key)
+    parsed = {key: _PARSERS[key](str(raw), key)
+              for key, raw in raw_values.items()}
 
     command = parsed["command"]
     if command not in COMMANDS:
@@ -354,12 +337,7 @@ def config_echo(cfg: RunConfig):
 
 
 def _solver_config(cfg: RunConfig) -> SolverConfig:
-    return SolverConfig(epsilon=cfg.epsilon, max_iters=cfg.max_iters,
-                        restart_period=cfg.restart_period)
-
-
-def _trunc(cfg: RunConfig) -> TruncationPolicy:
-    return TruncationPolicy(tol=cfg.trunc_tol, max_terms=cfg.max_terms)
+    return SolverConfig(epsilon=cfg.epsilon, max_iters=cfg.max_iters)
 
 
 def _case_for(cfg: RunConfig):
@@ -384,8 +362,7 @@ def _run_invert(cfg: RunConfig) -> int:
     result = invert_case(case, cfg.n_x, cfg.n_t,
                          ObjectiveConfig(alpha=cfg.alpha),
                          _solver_config(cfg), i_x=cfg.i_x, i_t=cfg.i_t,
-                         noise_level=cfg.noise_level, seed=cfg.seed,
-                         trunc=_trunc(cfg))
+                         noise_level=cfg.noise_level, seed=cfg.seed)
     outdir = Path(cfg.outdir)
     write_csv(outdir / f"{cfg.run_id}_trace.csv", IterationTrace.HEADER,
               result.trace.rows())
@@ -433,8 +410,7 @@ def _run_forward(cfg: RunConfig) -> int:
     phi = np.asarray(cfg.phi if cfg.phi else np.zeros(cfg.n_t))
     theta = np.asarray(cfg.theta if cfg.theta else np.zeros(cfg.n_x))
     params = PolyParams(phi=phi, theta=theta)
-    tables = sensitivity_tables(geom, mesh, params.n_x, params.n_t,
-                                _trunc(cfg))
+    tables = sensitivity_tables(geom, mesh, params.n_x, params.n_t)
     u_final, u_sensor = tables.predict(params)
     outdir = Path(cfg.outdir)
     write_csv(outdir / f"{cfg.run_id}_final_profile.csv", ["x", "u"],
@@ -454,7 +430,7 @@ def _run_forward(cfg: RunConfig) -> int:
 def _run_sweep(cfg: RunConfig) -> int:
     reports = sweep(_case_for(cfg), cfg.sweep_cells, _solver_config(cfg),
                     i_x=cfg.i_x, i_t=cfg.i_t, noise_level=cfg.noise_level,
-                    seed=cfg.seed, trunc=_trunc(cfg))
+                    seed=cfg.seed)
     write_csv(Path(cfg.outdir) / f"{cfg.run_id}_sweep.csv",
               ErrorReport.CSV_HEADER, (r.csv_row() for r in reports))
     converged = sum(1 for r in reports if r.status == "converged")
@@ -474,7 +450,7 @@ def _run_sensitivity(cfg: RunConfig) -> int:
         geom = _case_for(cfg).geometry
     mesh = MeasurementMesh.regular(geom, cfg.i_x, cfg.i_t)
     paths = emit_sensitivity_data(geom, cfg.n_x, cfg.n_t, mesh, cfg.outdir,
-                                  run_id=cfg.run_id, trunc=_trunc(cfg))
+                                  run_id=cfg.run_id)
     _write_summary(cfg, [
         ("status", "ok"),
         ("files", ";".join(str(p) for p in paths)),
@@ -504,49 +480,43 @@ def dispatch(cfg: RunConfig) -> int:
         return EXIT_IO_FAILURE
 
 
-# A token that starts like a negative number ("-1.34,2.97", "-.5") is a
-# value: no flag starts with a digit.
-_NEGATIVE_VALUE = re.compile(r"-\.?\d")
-
-
-def _attach_negative_values(argv):
-    """Rewrite ``--key -1.34,2.97`` as ``--key=-1.34,2.97``.  argparse
-    takes a token for a value only when it is a single negative number, so
-    a negative comma list after a flag would read as an unknown option."""
-    out = []
-    for token in argv:
-        if (out and out[-1].startswith("--") and "=" not in out[-1]
-                and _NEGATIVE_VALUE.match(token)):
-            out[-1] = f"{out[-1]}={token}"
-        else:
-            out.append(token)
-    return out
+def _split_argv(argv):
+    """The ``--key value`` / ``--key=value`` pairs of a command line as raw
+    text, like a config file's, plus the bare command word; None where help
+    is asked for in place of a key or the command."""
+    pairs, tokens = {}, iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None
+        if not token.startswith("--"):
+            if "command" in pairs:
+                raise ConfigValueError(f"unexpected argument {token!r}")
+            pairs["command"] = token
+            continue
+        key, sep, value = token[2:].partition("=")
+        if key == "command":
+            raise ConfigValueError("the command is a bare word, not --command")
+        pairs[key] = value if sep else next(tokens, None)
+        if pairs[key] is None:
+            raise ConfigValueError(f"flag {token} expects a value")
+    if "command" not in pairs:
+        raise ConfigValueError(
+            f"missing command (one of {', '.join(COMMANDS)})")
+    return pairs
 
 
 def main(argv=None) -> int:
-    """Console entry point."""
-    parser = argparse.ArgumentParser(
-        prog="heatsource",
-        description=("Reconstruct a time-dependent heat source and the "
-                     "initial temperature of a 1-D rod from final-time and "
-                     "interior measurements."),
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", help="path to a key=value config file")
-    for f in fields(RunConfig):
-        if f.name == "command":
-            continue
-        parser.add_argument(f"--{f.name}", dest=f.name, default=None,
-                            metavar="VALUE")
-    args = parser.parse_args(_attach_negative_values(
-        sys.argv[1:] if argv is None else argv))
+    """Console entry point; returns the process exit code."""
     logging.basicConfig(level=logging.INFO, stream=sys.stderr,
                         format="%(levelname)s %(name)s: %(message)s")
-    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)
-                 if f.name != "command" and getattr(args, f.name) is not None}
-    overrides["command"] = args.command
     try:
-        cfg = parse_config(args.config, overrides)
+        pairs = _split_argv(sys.argv[1:] if argv is None else argv)
+        if pairs is None:
+            keys = ", ".join(f.name for f in fields(RunConfig))
+            print((__doc__ or "").strip(), textwrap.fill(
+                f"Keys: config (command line only), {keys}."), sep="\n\n")
+            return EXIT_OK
+        cfg = parse_config(pairs.pop("config", None), pairs)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .kernels import DEFAULT_TRUNCATION, TruncationPolicy
 from .model import (Geometry, MeasurementMesh, PolyParams,
                     SensitivityTables, rod_tables, sensitivity_tables)
 from .objective import Measurements, ObjectiveConfig
@@ -152,8 +151,7 @@ class ErrorReport:
 
 
 def generate_measurements(case: ManufacturedCase, mesh: MeasurementMesh,
-                          noise_level: float = 0.0, seed: int = 42,
-                          trunc: TruncationPolicy = DEFAULT_TRUNCATION
+                          noise_level: float = 0.0, seed: int = 42
                           ) -> Measurements:
     """Sample the observables on the mesh, optionally perturbed by seeded
     Gaussian noise with standard deviation noise_level * max|u| per channel.
@@ -172,8 +170,8 @@ def generate_measurements(case: ManufacturedCase, mesh: MeasurementMesh,
                             dtype=float)
     elif case.exact_params is not None:
         truth = case.exact_params
-        u_f, u_star = sensitivity_tables(geom, mesh, truth.n_x, truth.n_t,
-                                         trunc).predict(truth)
+        u_f, u_star = sensitivity_tables(geom, mesh, truth.n_x,
+                                         truth.n_t).predict(truth)
     else:
         raise ValueError(f"case {case.name!r} has neither exact_u nor "
                          "exact_params")
@@ -220,25 +218,24 @@ def invert_case(case: ManufacturedCase, n_x: int, n_t: int,
                 obj_cfg: ObjectiveConfig, solver_cfg: SolverConfig,
                 i_x: int = 100, i_t: int = 100, noise_level: float = 0.0,
                 seed: int = 42,
-                trunc: TruncationPolicy = DEFAULT_TRUNCATION,
                 tables: SensitivityTables | None = None,
                 meas: Measurements | None = None
                 ) -> InversionResult:
     """Generate data for the case, run the inversion, and score it.
 
     ``tables``, when given, must have been built for this case's geometry
-    on the regular ``i_x`` x ``i_t`` mesh with ``n_x``, ``n_t`` and
-    ``trunc``; otherwise the solve builds them.  ``meas``, when given, must
-    be what :func:`generate_measurements` returns for this case on that
-    mesh with ``noise_level``, ``seed`` and ``trunc``; otherwise it is
-    generated here.
+    on the regular ``i_x`` x ``i_t`` mesh with ``n_x`` and ``n_t`` under
+    the default truncation policy; otherwise the solve builds them.
+    ``meas``, when given, must be what :func:`generate_measurements` returns
+    for this case on that mesh with ``noise_level`` and ``seed``; otherwise
+    it is generated here.
     """
     geom = case.geometry
     mesh = MeasurementMesh.regular(geom, i_x, i_t)
     if meas is None:
-        meas = generate_measurements(case, mesh, noise_level, seed, trunc)
+        meas = generate_measurements(case, mesh, noise_level, seed)
     params, trace, report = solve(meas, geom, mesh, n_x, n_t, obj_cfg,
-                                  solver_cfg, trunc, tables=tables)
+                                  solver_cfg, tables=tables)
     errors = rmse_report(case, params, mesh)
     _, fit_f, fit_u0 = case.fit_params(mesh, n_x, n_t)
     errors.iterations = report.iterations
@@ -288,7 +285,7 @@ def default_sweep_cells(alpha: float = 1e-6):
 
 def sweep(case: ManufacturedCase, cells, solver_cfg: SolverConfig,
           i_x: int = 100, i_t: int = 100, noise_level: float = 0.0,
-          seed: int = 42, trunc: TruncationPolicy = DEFAULT_TRUNCATION):
+          seed: int = 42):
     """Run one inversion per cell and return the reports in cell order.
 
     Cells of one size share one sensor-independent table layer and one
@@ -311,7 +308,7 @@ def sweep(case: ManufacturedCase, cells, solver_cfg: SolverConfig,
             mesh = MeasurementMesh.regular(geom, i_x, i_t)
             if cell.x_star not in measurements:
                 measurements[cell.x_star] = generate_measurements(
-                    cell_case, mesh, noise_level, seed, trunc)
+                    cell_case, mesh, noise_level, seed)
             key = (cell.x_star, cell.n_x, cell.n_t)
             if key not in tables:
                 # One layer and one history build per size, for all its
@@ -320,15 +317,14 @@ def sweep(case: ManufacturedCase, cells, solver_cfg: SolverConfig,
                     c.x_star for c in cells
                     if (c.n_x, c.n_t) == (cell.n_x, cell.n_t)
                     and geom.offset < c.x_star < geom.offset + geom.length))
-                rod = rod_tables(geom, mesh, cell.n_x, cell.n_t, trunc)
+                rod = rod_tables(geom, mesh, cell.n_x, cell.n_t)
                 for x_star, built in zip(sensors, rod.at_sensors(sensors)):
                     tables[(x_star, cell.n_x, cell.n_t)] = built
             result = invert_case(
                 cell_case, cell.n_x, cell.n_t,
                 ObjectiveConfig(alpha=cell.alpha), solver_cfg,
                 i_x=i_x, i_t=i_t, noise_level=noise_level, seed=seed,
-                trunc=trunc, tables=tables[key],
-                meas=measurements[cell.x_star])
+                tables=tables[key], meas=measurements[cell.x_star])
             reports.append(result.errors)
         except Exception as exc:  # per-cell isolation
             logger.warning("sweep cell %s failed: %s", cell, exc)
@@ -361,8 +357,7 @@ def sensitivity_demo_geometry() -> Geometry:
 
 def emit_sensitivity_data(geom: Geometry, n_x: int, n_t: int,
                           mesh: MeasurementMesh, outdir,
-                          run_id: str = "sensitivity",
-                          trunc: TruncationPolicy = DEFAULT_TRUNCATION):
+                          run_id: str = "sensitivity"):
     """Write the four sensitivity-curve tables as CSV files.
 
     Two tables sample the final-time profile responses over all spatial
@@ -370,7 +365,7 @@ def emit_sensitivity_data(geom: Geometry, n_x: int, n_t: int,
     two sample the sensor-history responses over the time nodes from
     index 1 on.  Returns the four paths.
     """
-    rod = rod_tables(geom, mesh, n_x, n_t, trunc)
+    rod = rod_tables(geom, mesh, n_x, n_t)
     [tables] = rod.at_sensors([geom.sensor])
     outdir = Path(outdir)
     ts = mesh.t_interior

@@ -1,8 +1,11 @@
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heatsource import cli
@@ -33,7 +36,6 @@ class TestParseConfig:
         assert cfg.i_x == 100 and cfg.i_t == 100
         assert cfg.n_x == 12 and cfg.n_t == 9
         assert cfg.seed == 42
-        assert cfg.restart_period is None
         assert cfg.x_star is None
 
     def test_sensitivity_command_curve_defaults(self):
@@ -64,8 +66,12 @@ class TestParseConfig:
             parse_config_text("command=invert\ni_x=0\n")
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigValueError, match="unknown config keys"):
-            parse_config_text("command=invert\nbogus=1\n")
+        # no prefix matching; restart_period and the truncation policy
+        # are library-only settings
+        for key in ("bogus", "alp", "restart_period", "trunc_tol",
+                    "max_terms"):
+            with pytest.raises(ConfigValueError, match="unknown config keys"):
+                parse_config_text(f"command=invert\n{key}=1\n")
 
     def test_unknown_case_and_command(self):
         with pytest.raises(ConfigValueError, match="case"):
@@ -84,6 +90,14 @@ class TestParseConfig:
         path.write_text("command=invert\njust words\n")
         with pytest.raises(ConfigParseError, match="2"):
             parse_config(path)
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        text = "command=invert\nalpha=3e-5\nrun_id=bom\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert parse_config(marked) == parse_config(plain)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigFileMissingError):
@@ -110,7 +124,7 @@ class TestParseConfig:
 
     def test_round_trip_echo(self):
         cfg = parse_config_text(
-            "command=invert\nalpha=3e-5\nx_star=0.99\nrestart_period=9\n"
+            "command=invert\nalpha=3e-5\nx_star=0.99\nmax_iters=9\n"
             "run_id=abc\nseed=5\n")
         text = "\n".join(f"{k}={v}" for k, v in config_echo(cfg))
         again = parse_config_text(text)
@@ -331,6 +345,15 @@ class TestMain:
         (["invert", "--alpha", "inf"], EXIT_INVALID_CONFIG),
         (["forward", "--phi", "nan"], EXIT_INVALID_CONFIG),
         (["forward", "--theta", "1,inf"], EXIT_INVALID_CONFIG),
+        # flags and file lines share one parser: no option prefixes, no
+        # flag without its value, exactly one known command word
+        (["invert", "--bogus", "1"], EXIT_INVALID_CONFIG),
+        (["invert", "--alp", "1e-5"], EXIT_INVALID_CONFIG),
+        (["invert", "--alpha"], EXIT_INVALID_CONFIG),
+        ([], EXIT_INVALID_CONFIG),
+        (["paint"], EXIT_INVALID_CONFIG),
+        (["invert", "extra"], EXIT_INVALID_CONFIG),
+        (["invert", "--command", "sweep"], EXIT_INVALID_CONFIG),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
     def test_bad_input_exit_code(self, tmp_path, capsys, argv, code):
         (tmp_path / "latin1.cfg").write_bytes(
@@ -338,8 +361,25 @@ class TestMain:
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         small = ["--i_x", "20", "--i_t", "20", "--max_iters", "5",
                  "--outdir", str(tmp_path / "out")]
-        assert main(argv + small) == code
-        assert "Traceback" not in capsys.readouterr().err
+        # the small-run flags go first, so a case may end on a bare flag
+        assert main(small + argv) == code
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["-h"], ["invert", "-h"], ["sweep", "--n_x", "3", "--help"],
+    ], ids=" ".join)
+    def test_help_names_every_key(self, capsys, argv):
+        assert main(argv) == EXIT_OK
+        listed = capsys.readouterr().out.partition("Keys:")[2]
+        listed = set(listed.replace(",", " ").replace(".", " ").split())
+        assert {"config"} | {f.name for f in fields(RunConfig)} <= listed
+
+    def test_help_token_after_a_flag_is_its_value(self, tmp_path, capsys):
+        assert main(["invert", "--n_x", "-h", "--outdir",
+                     str(tmp_path)]) == EXIT_INVALID_CONFIG
+        assert "n_x='-h': expected an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         # the default grid follows the case: polynomial's rod is (0, 2)
@@ -395,3 +435,44 @@ def config_path(tmp_path_factory):
 def test_any_config_file_parses_or_raises_config_error(config_path, data):
     config_path.write_bytes(data)
     _parses_or_config_error(lambda: parse_config(config_path))
+
+
+# The command is the bare word of a command line, so --command is no flag.
+_FLAG_KEYS = [key for key in _KEYS if key != "command"]
+
+
+@settings(database=None, deadline=None, max_examples=300)
+@given(st.sampled_from(cli.COMMANDS), st.sampled_from(_FLAG_KEYS), _VALUES)
+def test_flag_and_file_line_parse_alike(command, key, value):
+    # values a file line can hold: one line, no comment
+    assume("#" not in value and len(f"{key}={value}".splitlines()) == 1)
+
+    def outcome(parse):
+        try:
+            return parse()
+        except ConfigError as exc:
+            return exc.exit_code
+
+    from_file = outcome(lambda: parse_config_text(
+        f"command={command}\n{key}={value}"))
+    for argv in ([command, f"--{key}", value], [command, f"--{key}={value}"]):
+        from_flag = outcome(lambda: parse_config(
+            None, cli._split_argv(argv)))
+        assert from_flag == from_file, argv
+
+
+@pytest.mark.parametrize("args, code", [
+    (["--help"], EXIT_OK),
+    (["invert", "--bogus", "1"], EXIT_INVALID_CONFIG),
+    (["invert", "--config", "{tmp}/missing.cfg"], EXIT_MISSING_FILE),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_console_exit_status(tmp_path, args, code):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "heatsource.cli",
+         *[arg.format(tmp=tmp_path) for arg in args]],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
