@@ -103,7 +103,7 @@ class RunConfig:
     phi: tuple = ()
     theta: tuple = ()
     sweep_n: str = "6x5,12x9"
-    sweep_xstar: str = "-1.34,-0.17,0.99,2.15,2.97"
+    sweep_xstar: str = ""  # resolved to the case's default_sensors
     sweep_alpha: str = ""
 
     @cached_property
@@ -183,6 +183,7 @@ _PARSERS = {
     }[f.type]
     for f in fields(RunConfig)
 }
+_KNOWN_KEYS = ", ".join(["config (command line only)", *_PARSERS])
 
 # Range checks with the accepted range echoed in every message.
 _RANGES = {
@@ -260,22 +261,28 @@ def parse_config_text(text: str) -> RunConfig:
 def parse_config(path=None, overrides=None) -> RunConfig:
     """Build a validated RunConfig from an optional file plus overrides.
 
-    Precedence: built-in defaults, then file values, then overrides.
+    Precedence: built-in defaults, then file values, then overrides.  An
+    override holding '#' or a line break, which no file line can hold (so
+    the summary's config echo could not reproduce it), is rejected.
     """
     values = {}
     if path is not None:
         values.update(_parse_lines(_read_config_file(path), f"{path}:"))
-    values.update(overrides or {})
+    for key, raw in (overrides or {}).items():
+        text = str(raw)
+        if "#" in text or "".join(text.splitlines()) != text:
+            raise ConfigValueError(
+                f"{key}={text!r}: a value cannot hold '#' or a line break")
+        values[key] = raw
     return _build_config(values)
 
 
 def _build_config(raw_values: dict) -> RunConfig:
-    known = {f.name for f in fields(RunConfig)}
-    unknown = sorted(set(raw_values) - known)
+    unknown = sorted(set(raw_values) - set(_PARSERS))
     if unknown:
         raise ConfigValueError(
             f"unknown config keys: {', '.join(unknown)}; "
-            f"known keys: {', '.join(sorted(known))}")
+            f"known keys: {_KNOWN_KEYS}")
     if "command" not in raw_values:
         raise ConfigValueError(
             f"missing required key 'command' (one of {', '.join(COMMANDS)})")
@@ -347,17 +354,7 @@ def _case_for(cfg: RunConfig):
     return case
 
 
-def _summary_path(cfg: RunConfig) -> Path:
-    return Path(cfg.outdir) / f"{cfg.run_id}_summary.txt"
-
-
-def _write_summary(cfg: RunConfig, result_pairs) -> Path:
-    pairs = list(result_pairs)
-    pairs.extend((f"config.{key}", value) for key, value in config_echo(cfg))
-    return write_key_values(_summary_path(cfg), pairs)
-
-
-def _run_invert(cfg: RunConfig) -> int:
+def _run_invert(cfg: RunConfig):
     case = _case_for(cfg)
     result = invert_case(case, cfg.n_x, cfg.n_t,
                          ObjectiveConfig(alpha=cfg.alpha),
@@ -379,7 +376,7 @@ def _run_invert(cfg: RunConfig) -> int:
                                result.params.initial_values(xs)]))
     rep = result.report
     stat = rep.stationarity
-    _write_summary(cfg, [
+    return [
         ("status", rep.status),
         ("converged", rep.converged),
         ("iterations", rep.iterations),
@@ -396,14 +393,12 @@ def _run_invert(cfg: RunConfig) -> int:
         ("stationarity_worst_margin_symmetric", stat.worst_margin_symmetric),
         ("cost_floor", rep.cost_floor),
         ("returned_cost", rep.returned_cost),
-    ])
-    print(f"{cfg.run_id}: {rep.status} after {rep.iterations} iterations, "
-          f"cost {rep.final_cost:.6e}, E_F {result.errors.e_f:.6e}, "
-          f"E_u0 {result.errors.e_u0:.6e}")
-    return EXIT_OK if rep.converged else EXIT_NOT_CONVERGED
+    ], (f"{rep.status} after {rep.iterations} iterations, "
+        f"cost {rep.final_cost:.6e}, E_F {result.errors.e_f:.6e}, "
+        f"E_u0 {result.errors.e_u0:.6e}"), rep.converged
 
 
-def _run_forward(cfg: RunConfig) -> int:
+def _run_forward(cfg: RunConfig):
     case = _case_for(cfg)
     geom = case.geometry
     mesh = MeasurementMesh.regular(geom, cfg.i_x, cfg.i_t)
@@ -417,33 +412,29 @@ def _run_forward(cfg: RunConfig) -> int:
               np.column_stack([geom.to_physical(mesh.x_interior), u_final]))
     write_csv(outdir / f"{cfg.run_id}_sensor_history.csv", ["t", "u"],
               np.column_stack([mesh.t_interior, u_sensor]))
-    _write_summary(cfg, [
+    return [
         ("status", "ok"),
         ("max_abs_final", float(np.max(np.abs(u_final)))),
         ("max_abs_sensor", float(np.max(np.abs(u_sensor)))),
-    ])
-    print(f"{cfg.run_id}: forward model sampled on "
-          f"{mesh.i_x}x{mesh.i_t} mesh")
-    return EXIT_OK
+    ], f"forward model sampled on {mesh.i_x}x{mesh.i_t} mesh", True
 
 
-def _run_sweep(cfg: RunConfig) -> int:
+def _run_sweep(cfg: RunConfig):
     reports = sweep(_case_for(cfg), cfg.sweep_cells, _solver_config(cfg),
                     i_x=cfg.i_x, i_t=cfg.i_t, noise_level=cfg.noise_level,
                     seed=cfg.seed)
     write_csv(Path(cfg.outdir) / f"{cfg.run_id}_sweep.csv",
               ErrorReport.CSV_HEADER, (r.csv_row() for r in reports))
     converged = sum(1 for r in reports if r.status == "converged")
-    _write_summary(cfg, [
-        ("status", "ok" if converged == len(reports) else "partial"),
+    reached = converged == len(reports)
+    return [
+        ("status", "ok" if reached else "partial"),
         ("cells", len(reports)),
         ("converged_cells", converged),
-    ])
-    print(f"{cfg.run_id}: {converged}/{len(reports)} cells converged")
-    return EXIT_OK if converged == len(reports) else EXIT_NOT_CONVERGED
+    ], f"{converged}/{len(reports)} cells converged", reached
 
 
-def _run_sensitivity(cfg: RunConfig) -> int:
+def _run_sensitivity(cfg: RunConfig):
     if cfg.case == "example1" and cfg.x_star is None:
         geom = sensitivity_demo_geometry()
     else:
@@ -451,12 +442,10 @@ def _run_sensitivity(cfg: RunConfig) -> int:
     mesh = MeasurementMesh.regular(geom, cfg.i_x, cfg.i_t)
     paths = emit_sensitivity_data(geom, cfg.n_x, cfg.n_t, mesh, cfg.outdir,
                                   run_id=cfg.run_id)
-    _write_summary(cfg, [
+    return [
         ("status", "ok"),
         ("files", ";".join(str(p) for p in paths)),
-    ])
-    print(f"{cfg.run_id}: wrote {len(paths)} sensitivity tables")
-    return EXIT_OK
+    ], f"wrote {len(paths)} sensitivity tables", True
 
 
 _RUNNERS = {
@@ -468,16 +457,26 @@ _RUNNERS = {
 
 
 def dispatch(cfg: RunConfig) -> int:
-    """Execute the configured command; returns the process exit code."""
+    """Execute the configured command; returns the process exit code.
+
+    Each runner writes its CSV artifacts and returns (summary pairs, console
+    message, reached); the summary gets the config echo appended, and an
+    unreached run exits EXIT_NOT_CONVERGED."""
     try:
         Path(cfg.outdir).mkdir(parents=True, exist_ok=True)
-        return _RUNNERS[cfg.command](cfg)
+        pairs, message, reached = _RUNNERS[cfg.command](cfg)
+        pairs.extend((f"config.{key}", value)
+                     for key, value in config_echo(cfg))
+        write_key_values(Path(cfg.outdir) / f"{cfg.run_id}_summary.txt",
+                         pairs)
     except DivergenceError as exc:
         logger.error("iteration diverged: %s", exc)
         return EXIT_DIVERGED
     except (OutputError, OSError) as exc:
         logger.error("%s", exc)
         return EXIT_IO_FAILURE
+    print(f"{cfg.run_id}: {message}")
+    return EXIT_OK if reached else EXIT_NOT_CONVERGED
 
 
 def _split_argv(argv):
@@ -512,9 +511,8 @@ def main(argv=None) -> int:
     try:
         pairs = _split_argv(sys.argv[1:] if argv is None else argv)
         if pairs is None:
-            keys = ", ".join(f.name for f in fields(RunConfig))
-            print((__doc__ or "").strip(), textwrap.fill(
-                f"Keys: config (command line only), {keys}."), sep="\n\n")
+            print((__doc__ or "").strip(),
+                  textwrap.fill(f"Keys: {_KNOWN_KEYS}."), sep="\n\n")
             return EXIT_OK
         cfg = parse_config(pairs.pop("config", None), pairs)
     except ConfigError as exc:

@@ -145,9 +145,7 @@ class ErrorReport:
                   "fit_residual_f", "fit_residual_u0")
 
     def csv_row(self):
-        return (self.n_x, self.n_t, self.x_star, self.alpha, self.e_f,
-                self.e_u0, self.iterations, self.final_cost, self.status,
-                self.fit_residual_f, self.fit_residual_u0)
+        return tuple(getattr(self, key) for key in self.CSV_HEADER)
 
 
 def generate_measurements(case: ManufacturedCase, mesh: MeasurementMesh,

@@ -5,18 +5,18 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heatsource import cli
-from heatsource.cli import (EXIT_DIVERGED, EXIT_INVALID_CONFIG,
+from heatsource.cli import (EXIT_DIVERGED, EXIT_ERROR, EXIT_INVALID_CONFIG,
                             EXIT_IO_FAILURE, EXIT_MISSING_FILE,
                             EXIT_NOT_CONVERGED, EXIT_OK, EXIT_PARSE_ERROR,
                             ConfigError, ConfigFileMissingError,
                             ConfigParseError, ConfigValueError, RunConfig,
                             config_echo, dispatch, main, parse_config,
                             parse_config_text)
-from heatsource.errors import DivergenceError
+from heatsource.errors import DivergenceError, HeatSourceError
 
 
 def read_summary(path):
@@ -66,12 +66,24 @@ class TestParseConfig:
             parse_config_text("command=invert\ni_x=0\n")
 
     def test_unknown_key_rejected(self):
-        # no prefix matching; restart_period and the truncation policy
-        # are library-only settings
+        # no prefix matching; the truncation policy is a library-only
+        # setting.  The error lists every key, config included.
         for key in ("bogus", "alp", "restart_period", "trunc_tol",
                     "max_terms"):
-            with pytest.raises(ConfigValueError, match="unknown config keys"):
+            with pytest.raises(ConfigValueError, match="unknown config keys"
+                               ) as err:
                 parse_config_text(f"command=invert\n{key}=1\n")
+            listed = str(err.value).partition("known keys: ")[2]
+            assert listed.startswith("config (command line only), ")
+            assert {f.name for f in fields(RunConfig)} <= set(
+                listed.replace(",", " ").split())
+
+    @pytest.mark.parametrize("value", ["a#b", "a\nb", "a\rb", "1\n",
+                                       "x\u2028y"])
+    def test_value_a_file_line_cannot_hold_rejected(self, value):
+        # the summary's config echo is a file; it must read back the same
+        with pytest.raises(ConfigValueError, match="'#' or a line break"):
+            parse_config(None, {"command": "forward", "run_id": value})
 
     def test_unknown_case_and_command(self):
         with pytest.raises(ConfigValueError, match="case"):
@@ -233,6 +245,23 @@ class TestDispatch:
             f"outdir={blocker / 'sub'}\n")
         assert dispatch(cfg) == EXIT_IO_FAILURE
 
+    def test_summary_is_written_once_by_dispatch(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # the runner returns its pairs, message and outcome; dispatch adds
+        # the config echo, prints the message and picks the exit code
+        def runner(cfg):
+            return [("status", "partial")], "half done", False
+
+        monkeypatch.setitem(cli._RUNNERS, "forward", runner)
+        cfg = parse_config_text(
+            f"command=forward\noutdir={tmp_path}\nrun_id=stub\n")
+        assert dispatch(cfg) == EXIT_NOT_CONVERGED
+        assert capsys.readouterr().out == "stub: half done\n"
+        summary = read_summary(tmp_path / "stub_summary.txt")
+        assert list(summary)[0] == "status"
+        assert [k for k in summary if k.startswith("config.")] == [
+            f"config.{f.name}" for f in fields(RunConfig)]
+
     def test_divergence_exit_code(self, tmp_path, monkeypatch):
         # the exact-step iteration cannot diverge on finite data, so the
         # mapping is exercised by injecting the error
@@ -253,6 +282,16 @@ class TestMain:
         bad = tmp_path / "bad.cfg"
         bad.write_text("no equals sign here\n")
         assert main(["invert", "--config", str(bad)]) == EXIT_PARSE_ERROR
+
+    def test_library_error_in_dispatch_exits_1(self, tmp_path, capsys,
+                                               monkeypatch):
+        def boom(cfg):
+            raise HeatSourceError("injected")
+
+        monkeypatch.setitem(cli._RUNNERS, "invert", boom)
+        assert main(["invert", "--outdir", str(tmp_path)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "error: injected" in err and "Traceback" not in err
 
     def test_end_to_end_invert(self, tmp_path):
         code = main(["invert", "--n_x", "6", "--n_t", "5", "--i_x", "50",
@@ -337,6 +376,7 @@ class TestMain:
         (["sweep", "--sweep_n", "0x5"], EXIT_INVALID_CONFIG),
         (["sweep", "--sweep_alpha", "-1"], EXIT_INVALID_CONFIG),
         (["sweep", "--sweep_xstar", "99"], EXIT_INVALID_CONFIG),
+        (["sweep", "--sweep_n", ","], EXIT_INVALID_CONFIG),  # empty grid
         (["invert", "--config", "{tmp}"], EXIT_MISSING_FILE),
         (["invert", "--config", "{tmp}/latin1.cfg"], EXIT_PARSE_ERROR),
         (["invert", "--noise_level", "inf"], EXIT_INVALID_CONFIG),
@@ -354,6 +394,9 @@ class TestMain:
         (["paint"], EXIT_INVALID_CONFIG),
         (["invert", "extra"], EXIT_INVALID_CONFIG),
         (["invert", "--command", "sweep"], EXIT_INVALID_CONFIG),
+        # a value no config file line can hold
+        (["invert", "--run_id", "a#b"], EXIT_INVALID_CONFIG),
+        (["invert", "--run_id=a\nb"], EXIT_INVALID_CONFIG),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
     def test_bad_input_exit_code(self, tmp_path, capsys, argv, code):
         (tmp_path / "latin1.cfg").write_bytes(
@@ -387,6 +430,8 @@ class TestMain:
         # negative comma lists after a flag are values, not options
         ["sweep", "--sweep_n", "6x5", "--sweep_xstar", "-1.34,2.97"],
         ["forward", "--phi", "-1,0.5", "--theta", "-1,2,0"],
+        # a sensor moves the sensitivity rod off the demo geometry
+        ["sensitivity", "--x_star", "1.0"],
     ], ids=" ".join)
     def test_accepted_input_exit_code(self, tmp_path, capsys, argv):
         small = ["--i_x", "20", "--i_t", "20", "--outdir", str(tmp_path)]
@@ -396,6 +441,7 @@ class TestMain:
 _KEYS = [f.name for f in fields(RunConfig)] + ["bogus", ""]
 _VALUES = st.one_of(
     st.text(max_size=12),
+    st.text(st.sampled_from("ab1#\n\r\x0b\x85\u2028 "), max_size=6),
     st.floats().map(repr),
     st.integers(-3, 20).map(str),
     st.sampled_from(["sweep", "forward", "none", "6x5,0x2", "2.97", "abc",
@@ -444,17 +490,18 @@ _FLAG_KEYS = [key for key in _KEYS if key != "command"]
 @settings(database=None, deadline=None, max_examples=300)
 @given(st.sampled_from(cli.COMMANDS), st.sampled_from(_FLAG_KEYS), _VALUES)
 def test_flag_and_file_line_parse_alike(command, key, value):
-    # values a file line can hold: one line, no comment
-    assume("#" not in value and len(f"{key}={value}".splitlines()) == 1)
-
+    # A value a file line can hold (one line, no comment) parses alike from
+    # a flag; any other flag value exits 2.
     def outcome(parse):
         try:
             return parse()
         except ConfigError as exc:
             return exc.exit_code
 
-    from_file = outcome(lambda: parse_config_text(
-        f"command={command}\n{key}={value}"))
+    fits_a_line = "#" not in value and value.splitlines() in ([], [value])
+    from_file = (outcome(lambda: parse_config_text(
+        f"command={command}\n{key}={value}")) if fits_a_line
+        else EXIT_INVALID_CONFIG)
     for argv in ([command, f"--{key}", value], [command, f"--{key}={value}"]):
         from_flag = outcome(lambda: parse_config(
             None, cli._split_argv(argv)))

@@ -82,6 +82,11 @@ class TestGreensFunction:
             greens_function(1.0, 1.0, 0.0, L, TR)
         with pytest.raises(DomainError):
             source_kernel(1.0, -0.5, L, TR)
+        for length in (0.0, -1.0):
+            with pytest.raises(DomainError, match="length must be positive"):
+                greens_function(0.0, 0.0, 0.5, length, TR)
+            with pytest.raises(DomainError, match="length must be positive"):
+                source_kernel(0.0, 0.5, length, TR)
 
 
 class TestSourceKernel:

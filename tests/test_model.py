@@ -71,6 +71,8 @@ class TestMeasurementMesh:
             MeasurementMesh(x_nodes=[0.0, 1.0, 0.5], t_nodes=[0.0, 1.0])
         with pytest.raises(DomainError):
             MeasurementMesh(x_nodes=[0.1, 1.0], t_nodes=[0.0, 1.0])
+        with pytest.raises(ShapeMismatchError, match="at least two nodes"):
+            MeasurementMesh(x_nodes=[0.0], t_nodes=[0.0, 1.0])
 
 
 class TestForwardEvaluation:
@@ -139,6 +141,11 @@ class TestForwardEvaluation:
             eval_u_interior(params, 0.0, geom, TR)
         with pytest.raises(DomainError):
             eval_u_interior(params, geom.t_final + 0.1, geom, TR)
+        for t in (0.0, -0.5):
+            with pytest.raises(DomainError, match="positive"):
+                theta_response_history(1.0, [0.5, t], L, 3, TR)
+            with pytest.raises(DomainError, match="positive"):
+                phi_response_profile([0.5, 1.0], t, L, 2, TR)
 
 
 def test_source_response_respects_max_terms_cap():
@@ -311,6 +318,11 @@ class TestSensitivityTables:
     def test_params_shape_check(self, tables):
         with pytest.raises(ShapeMismatchError):
             tables.predict(PolyParams.zeros(3, 3))
+        for bad in (np.zeros((2, 2)), []):  # not a nonempty 1-d vector
+            with pytest.raises(ShapeMismatchError, match="phi must be"):
+                PolyParams(phi=bad, theta=np.zeros(3))
+            with pytest.raises(ShapeMismatchError, match="theta must be"):
+                PolyParams(phi=np.zeros(2), theta=bad)
 
 
 class TestRodTables:
@@ -342,6 +354,10 @@ class TestRodTables:
         assert np.all(rod.final_phi[0] == 0.0)
         assert np.array_equal(rod.final_theta[1:], tables.final_theta)
         assert np.array_equal(rod.final_phi[1:], tables.final_phi)
+
+    def test_empty_coefficient_count_rejected(self, geom, mesh):
+        with pytest.raises(ShapeMismatchError, match="must be >= 1"):
+            rod_tables(geom, mesh, 0, 2, TR)
 
     def test_sensor_outside_the_rod_rejected(self, geom, mesh):
         rod = rod_tables(geom, mesh, 3, 2, TR)

@@ -76,6 +76,9 @@ class TestCost:
         bad = Measurements(u_f=meas.u_f[:-1], u_star=meas.u_star)
         with pytest.raises(ShapeMismatchError):
             cost(PolyParams.zeros(3, 2), bad, ObjectiveConfig(), tables)
+        bad = Measurements(u_f=meas.u_f, u_star=meas.u_star[:-1])
+        with pytest.raises(ShapeMismatchError, match="u_star has"):
+            bad.check_against(tables)
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from heatsource.output import write_csv
+from heatsource.output import OutputError, write_csv
 
 
 def per_value(path, header, table):
@@ -38,9 +38,17 @@ class TestWriteCsv:
                                                   header, table)
 
     def test_wrong_width_table_raises(self, tmp_path):
-        with pytest.raises(ValueError, match="row width 3 != header width 2"):
-            write_csv(tmp_path / "bad.csv", ["a", "b"], np.zeros((4, 3)))
-        assert not (tmp_path / "bad.csv").exists()
+        for rows in (np.zeros((4, 3)), [[0.0, 0.0], [1.0, 2.0, 3.0]]):
+            with pytest.raises(ValueError,
+                               match="row width 3 != header width 2"):
+                write_csv(tmp_path / "bad.csv", ["a", "b"], rows)
+            assert not (tmp_path / "bad.csv").exists()
+
+    def test_parent_that_is_a_file_raises_output_error(self, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("file, not a directory")
+        with pytest.raises(OutputError, match="cannot write"):
+            write_csv(blocker / "out.csv", ["a"], np.zeros((1, 1)))
 
     def test_zero_row_table_writes_the_header(self, tmp_path):
         path = write_csv(tmp_path / "empty.csv", ["a", "b"],

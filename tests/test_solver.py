@@ -172,13 +172,6 @@ class TestDescentDirections:
         self._assert_close(params, _steepest_descent(example_problem, 1),
                            rel=1e-14)
 
-    def test_zero_momentum_restart(self, example_problem):
-        params, trace, _ = _short_solve(example_problem, max_iters=3,
-                                        restart_period=1)
-        assert trace.gamma == [0.0] * 4
-        self._assert_close(params, _steepest_descent(example_problem, 3),
-                           rel=2e-14)
-
 
 def _recorded_steps(problem, n_states, seed):
     """The first two steps solve records from random initial guesses, each
@@ -332,6 +325,18 @@ class TestSolve:
         assert len(trace) == 1
         assert np.all(params.phi == 0.0) and np.all(params.theta == 0.0)
 
+    @pytest.mark.parametrize("budget", [1, 3, 7])
+    def test_budget_run_returns_its_last_iterate(self, example_problem,
+                                                 budget):
+        # the report describes the iterate the loop ended on: its true
+        # cost differs from the last recurrence cost by rounding only
+        params, trace, report = _short_solve(example_problem,
+                                             max_iters=budget)
+        assert report.status == "not_converged"
+        assert report.iterations == budget == len(trace) - 1
+        assert report.final_cost == pytest.approx(trace.cost[-1], rel=1e-12)
+        assert trace.cost[-1] < trace.cost[-2]
+
     def test_custom_init(self, poly_problem):
         geom, mesh, tables, truth, meas = poly_problem
         cfg = SolverConfig(epsilon=1e-20, max_iters=0, init=truth)
@@ -410,20 +415,11 @@ class TestSolve:
         assert report.final_cost == pytest.approx(report.cost_floor,
                                                   rel=1e-11)
 
-    def test_restart_period_still_converges(self, example_problem):
-        geom, mesh, tables, meas = example_problem
-        params, trace, report = solve(
-            meas, geom, mesh, 6, 5, ObjectiveConfig(alpha=1e-6),
-            SolverConfig(restart_period=7), tables=tables)
-        assert report.converged
-
     def test_solver_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(epsilon=0.0)
         with pytest.raises(ValueError):
             SolverConfig(max_iters=-1)
-        with pytest.raises(ValueError):
-            SolverConfig(restart_period=0)
 
 
 class TestRoundingStability:
