@@ -39,6 +39,7 @@ __all__ = [
     "sine_moment",
     "exp_moment",
     "sine_moment_stack",
+    "exp_moment_small",
     "exp_moment_rows",
     "exp_moment_stack",
     "mode_count",
@@ -107,7 +108,7 @@ def mode_count(amplitude: float, t: float, length: float,
 # Elements per sin_modes block: its scratch is three (points, modes) arrays
 # of about this size however many points there are.  A block holds whole
 # rows, so few modes give tall blocks and little per-block overhead.
-# _apply_to_negated sizes its mask blocks the same way.
+# _apply_to_negated and exp_moment_small size their blocks the same way.
 _SIN_BLOCK = 1 << 15
 
 
@@ -263,7 +264,40 @@ def _apply_to_negated(func, x: np.ndarray, bound: float, saturated: float):
         func(block, out=block, where=mask)
 
 
-def exp_moment_rows(max_power: int, lam_sq, t):
+def exp_moment_small(max_power: int, lam_sq, t):
+    """The small-argument entries of :func:`exp_moment_rows` on the outer
+    (lam_sq, t) grid: their flat indices, ordered by a = lam_sq*t as the
+    series wants them, and their series values, shape (max_power + 1,
+    len(indices)).  Both arrays are read-only.
+
+    The grid is scanned in blocks of mode rows, so its scratch does not
+    grow with the grid.  The indices come out in the row-major order of
+    ``np.flatnonzero`` over the whole grid, so the sort permutes them as
+    it would there.
+    """
+    lam_sq = np.asarray(lam_sq, dtype=float)
+    t = np.asarray(t, dtype=float)
+    switch = max(_SERIES_SWITCH_BASE, 2.0 * max_power)
+    step = max(1, _SIN_BLOCK // (t.size or 1))
+    found, values = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    for start in range(0, lam_sq.size, step):
+        a = np.multiply.outer(lam_sq[start:start + step], t).ravel()
+        idx = np.flatnonzero(a < switch)
+        values.append(a.take(idx))
+        found.append(idx + start * t.size)
+    a = np.concatenate(values)
+    order = a.argsort()
+    small = np.concatenate(found).take(order)
+    # Their times are t[small % len(t)], so the (modes, times) grid of t is
+    # never materialised.
+    series = _exp_moment_series(max_power, a.take(order),
+                                t.take(small % t.size))
+    small.flags.writeable = False
+    series.flags.writeable = False
+    return small, series
+
+
+def exp_moment_rows(max_power: int, lam_sq, t, small_series):
     """Yield (p, J_p) for p = 0..max_power, where J_p = integral of
     tau^p * exp(-lam_sq*(t - tau)) over [0, t] on the outer (lam_sq, t)
     grid, shape (len(lam_sq), len(t)).
@@ -272,6 +306,8 @@ def exp_moment_rows(max_power: int, lam_sq, t):
     a = lam_sq*t is well above p, but cancels catastrophically below that;
     small arguments switch to the positive-term series
     J_p = t^(p+1) * exp(-a) * sum_j a^j / (j! * (p+1+j)).
+    ``small_series`` is :func:`exp_moment_small` of the same arguments,
+    which a caller may compute once for many calls.
 
     The recurrence starts from J_0 = -expm1(-a)/lam_sq, and expm1 runs only
     where a < 40: from there on expm1(-a) is exactly -1 (exp(-a) < 4.3e-18
@@ -281,21 +317,11 @@ def exp_moment_rows(max_power: int, lam_sq, t):
     """
     lam_sq = np.asarray(lam_sq, dtype=float)
     t = np.asarray(t, dtype=float)
-    a = np.multiply.outer(lam_sq, t)
-    switch = max(_SERIES_SWITCH_BASE, 2.0 * max_power)
-    # Flat indices of the small entries, ordered by a as the series wants
-    # them; their times are t[idx % len(t)], so the (modes, times) grid of
-    # t is never materialised.
-    small = np.flatnonzero(a < switch)
-    series = None
-    if small.size:
-        small = small.take(a.take(small).argsort())
-        series = _exp_moment_series(max_power, a.take(small),
-                                    t.take(small % t.size))
+    small, series = small_series
     ls = lam_sq[:, None]
-    # The recurrence runs in place in a's storage.  The small entries carry
-    # series values into the next step, which overwrites them again.
-    j = a
+    # The recurrence runs in place on the grid of a.  The small entries
+    # carry series values into the next step, which overwrites them again.
+    j = np.multiply.outer(lam_sq, t)
     _apply_to_negated(np.expm1, j, _EXPM1_SATURATION, -1.0)
     np.negative(j, out=j)
     np.divide(j, ls, out=j)
@@ -306,8 +332,7 @@ def exp_moment_rows(max_power: int, lam_sq, t):
             np.multiply(j, p, out=j)
             np.subtract(t_pow, j, out=j)
             np.divide(j, ls, out=j)
-        if series is not None:
-            np.put(j, small, series[p])
+        np.put(j, small, series[p])
         yield p, j
 
 
@@ -317,7 +342,8 @@ def exp_moment_stack(max_power: int, lam_sq, t) -> np.ndarray:
     lam_sq = np.asarray(lam_sq, dtype=float)
     t = np.asarray(t, dtype=float)
     out = np.empty((max_power + 1, lam_sq.size, t.size))
-    for p, j in exp_moment_rows(max_power, lam_sq, t):
+    small_series = exp_moment_small(max_power, lam_sq, t)
+    for p, j in exp_moment_rows(max_power, lam_sq, t, small_series):
         out[p] = j
     return out
 
@@ -357,7 +383,7 @@ def _exp_moment_series(max_power: int, a: np.ndarray, t: np.ndarray) -> np.ndarr
     acc = np.zeros((max_power + 1, a.size))
     quot = np.empty_like(acc)
     term = np.ones_like(a)  # a^j / j!
-    steps = _series_steps(float(a[-1]))
+    steps = _series_steps(float(a[-1])) if a.size else 0
     # ready[j]: the count of entries with a < j - 1.
     ready = np.searchsorted(a, np.arange(steps) - 1.0).tolist()
     lo = 0  # entries before lo have converged

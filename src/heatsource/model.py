@@ -25,6 +25,7 @@ from .kernels import (
     _apply_to_negated,
     _warn_truncated,
     exp_moment_rows,
+    exp_moment_small,
     exp_moment_stack,
     mode_count,
     sin_modes,
@@ -323,12 +324,16 @@ def phi_response_history(x: float, ts, length: float, n_phi: int,
 
 def _phi_history(ts, length: float, n_phi: int, trunc: TruncationPolicy):
     """The phi history as a function mapping a list of points x to their
-    tables.  Each call runs the exp-moment recurrence of the odd modes once
-    and contracts every J_p with all its points as it is produced, so the
-    (n_phi, modes, times) stack never exists."""
+    tables.  The small-argument series of the exp moments depends on no
+    point, so it is computed here once and serves every call.  Each call
+    runs the exp-moment recurrence of the odd modes once and contracts
+    every J_p with all its points as it is produced, so the (n_phi, modes,
+    times) stack never exists."""
     ts = _history_times(ts)
     modes = _phi_modes(n_phi, float(ts.min()), float(ts.max()), length, trunc)
     lam = (math.pi / length) * modes
+    lam_sq = lam * lam
+    small_series = exp_moment_small(n_phi - 1, lam_sq, ts)
 
     def at(xs):
         sx = sin_modes(xs, length, modes)
@@ -336,7 +341,8 @@ def _phi_history(ts, length: float, n_phi: int, trunc: TruncationPolicy):
         # Heads in the Fortran layout of einsum("n,pnj->jp"): predict's
         # matrix products sum in an order that depends on it.
         heads = [np.empty((n_phi, ts.size)).T for _ in xs]
-        for p, moment in exp_moment_rows(n_phi - 1, lam * lam, ts):
+        for p, moment in exp_moment_rows(n_phi - 1, lam_sq, ts,
+                                         small_series):
             rows = np.einsum("sn,nj->sj", weights, moment)
             for head, row in zip(heads, rows):
                 head[:, p] = 4.0 / length * row
@@ -407,10 +413,13 @@ class RodTables:
     coefficient counts and truncation policy (``geom.sensor`` plays no
     part).  ``final_*`` cover every spatial node, boundary rows included.
     ``theta_history`` and ``phi_history`` hold the modes and moment weights
-    and map a list of shifted sensor positions to their history tables;
-    each call streams the time-by-mode work once for all its sensors, so
-    the layer itself holds no times-by-modes array.  ``at_sensors``
-    assembles the tables of a list of sensors."""
+    and map a list of shifted sensor positions to their history tables.
+    ``phi_history`` also holds the sorted flat indices and series values
+    of the exp moments' small-argument entries (lam^2 t below the series
+    switch), computed once with the layer.  Each call streams the rest of
+    the time-by-mode work once for all its sensors, so the layer itself
+    holds no times-by-modes array.  ``at_sensors`` assembles the tables of
+    a list of sensors."""
 
     geom: Geometry
     mesh: MeasurementMesh

@@ -6,9 +6,9 @@ import pytest
 
 from heatsource.errors import DomainError, TruncationWarning
 from heatsource.kernels import (DEFAULT_TRUNCATION, TruncationPolicy,
-                                exp_moment, exp_moment_rows, exp_moment_stack,
-                                greens_function, sin_modes, sine_moment,
-                                sine_moment_stack, source_kernel)
+                                exp_moment, exp_moment_rows, exp_moment_small,
+                                exp_moment_stack, greens_function, sin_modes,
+                                sine_moment, sine_moment_stack, source_kernel)
 from oracles import (exp_moment_stack_reference, mp_exp_moment,
                      mp_sine_moment, quad_exp_moment, quad_sine_moment,
                      reference_green, sin_modes_reference)
@@ -281,11 +281,12 @@ class TestExpMoment:
             assert np.array_equal(got, ref), (max_power, lam_sq.size, t.size)
             return got
 
-        def recording_rows(max_power, lam_sq, t):
+        def recording_rows(max_power, lam_sq, t, small_series):
             calls.append((max_power, lam_sq.size, t.size))
             ref = exp_moment_stack_reference(max_power, lam_sq, t)
             powers = []
-            for p, moment in exp_moment_rows(max_power, lam_sq, t):
+            for p, moment in exp_moment_rows(max_power, lam_sq, t,
+                                             small_series):
                 assert np.array_equal(moment, ref[p]), (p, lam_sq.size, t.size)
                 powers.append(p)
                 yield p, moment
@@ -310,7 +311,8 @@ class TestExpMoment:
         ts = np.array([0.02, 0.5, 1.3])
         stack = exp_moment_stack(6, lam_sq, ts)
         buffers = set()
-        for p, moment in exp_moment_rows(6, lam_sq, ts):
+        for p, moment in exp_moment_rows(6, lam_sq, ts,
+                                         exp_moment_small(6, lam_sq, ts)):
             assert moment.shape == (4, 3)
             assert np.array_equal(moment, stack[p])
             buffers.add(id(moment))
@@ -325,7 +327,8 @@ class TestExpMoment:
             assert np.count_nonzero(np.multiply.outer(lam_sq, ts) < 30.0) \
                 == small
             ref = exp_moment_stack_reference(8, lam_sq, ts)
-            for p, moment in exp_moment_rows(8, lam_sq, ts):
+            for p, moment in exp_moment_rows(
+                    8, lam_sq, ts, exp_moment_small(8, lam_sq, ts)):
                 assert np.array_equal(moment, ref[p]), (small, p)
 
     def test_stack_bitwise_equals_reference_on_random_inputs(self):
@@ -356,7 +359,9 @@ class TestSkippedWork:
     @staticmethod
     def _assert_rows_equal_reference(max_power, lam_sq, ts):
         ref = exp_moment_stack_reference(max_power, lam_sq, ts)
-        for p, moment in exp_moment_rows(max_power, lam_sq, ts):
+        small_series = exp_moment_small(max_power, lam_sq, ts)
+        for p, moment in exp_moment_rows(max_power, lam_sq, ts,
+                                         small_series):
             assert np.array_equal(moment, ref[p]), (max_power, p)
         assert np.array_equal(exp_moment_stack(max_power, lam_sq, ts), ref)
 
@@ -440,6 +445,84 @@ class TestSkippedWork:
             assert np.all(got[whole] == 0.0)
             assert np.array_equal(np.signbit(got[whole]),
                                   np.abs(r[whole]) % 2.0 == 1.0)
+
+
+class TestSmallEntries:
+    """exp_moment_small scans the (lam_sq, t) grid in blocks of mode rows
+    and returns what one scan of the whole grid gives: the same flat
+    indices in the same sorted order and the same series values, bit for
+    bit."""
+
+    # The inputs of TestSkippedWork.test_zero_and_integer_arguments and of
+    # test_model's theta-history underflow test: unsorted, repeated, zero.
+    UNSORTED = np.array([3.0, 0.0, 17.0, 1.0, 0.0, 29.0, 2.0, 39.0, 17.0])
+    EDGES = np.array([745.9, 746.0, 746.1])
+    UNDERFLOW = np.concatenate([EDGES / 16.0, [0.05], EDGES, [2.0, 0.05],
+                                EDGES / 4.0, [746.0 / 16.0, 1e-3, 746.0,
+                                              744.0]])
+
+    @staticmethod
+    def _whole_grid(max_power, lam_sq, t):
+        from heatsource.kernels import _exp_moment_series
+
+        a = np.multiply.outer(lam_sq, t)
+        small = np.flatnonzero(a < max(30.0, 2.0 * max_power))
+        small = small.take(a.take(small).argsort())
+        if not small.size:
+            return small, np.empty((max_power + 1, 0))
+        return small, _exp_moment_series(max_power, a.take(small),
+                                          t.take(small % t.size))
+
+    def _assert_equals_whole_grid(self, max_power, lam_sq, t):
+        small, series = exp_moment_small(max_power, lam_sq, t)
+        want_small, want_series = self._whole_grid(max_power, lam_sq, t)
+        assert small.dtype == want_small.dtype
+        assert np.array_equal(small, want_small), (max_power, t.size)
+        assert series.shape == want_series.shape
+        assert np.array_equal(series, want_series), (max_power, t.size)
+        return small
+
+    @pytest.mark.parametrize("block", [1, 19, None])
+    @pytest.mark.parametrize("max_power", [0, 8, 20])
+    def test_sorted_unsorted_and_repeated_times(self, max_power, block,
+                                                monkeypatch):
+        # Blocks of one row, of two rows with an odd row count, and the
+        # default height.
+        from heatsource import kernels
+
+        if block is not None:
+            monkeypatch.setattr(kernels, "_SIN_BLOCK", block)
+        for lam_sq, ts in ((np.array([1.0]), self.UNSORTED),
+                           (np.array([1.0, 0.5, 0.25]), self.UNSORTED),
+                           (np.array([1.0, 0.5]), np.arange(0.0, 80.0)),
+                           (np.arange(1.0, 14.0) ** 2, self.UNDERFLOW),
+                           (np.array([0.25, 2.25, 42.0]),
+                            np.linspace(0.02, 2.0, 100))):
+            small = self._assert_equals_whole_grid(max_power, lam_sq, ts)
+            assert small.size
+
+    @pytest.mark.parametrize("max_power", [0, 8])
+    def test_no_small_entry(self, max_power):
+        lam_sq, ts = np.array([70.0, 90.0]), np.array([0.5, 1.0, 2.0])
+        small = self._assert_equals_whole_grid(max_power, lam_sq, ts)
+        assert small.size == 0
+
+    def test_small_entries_across_many_blocks(self):
+        # example1's odd modes at 12x9 on 1000 time nodes: 340 modes in
+        # blocks of 32 rows, with small entries in the first four.
+        from heatsource.kernels import _SIN_BLOCK
+
+        lam = np.arange(1.0, 681.0, 2.0) / 2.0
+        ts = np.linspace(0.0, 2.0, 1001)[1:]
+        small = self._assert_equals_whole_grid(8, lam * lam, ts)
+        step = _SIN_BLOCK // ts.size
+        assert lam.size > 10 * step
+        assert np.unique(small // ts.size // step).size == 4
+
+    def test_returned_arrays_are_read_only(self):
+        for lam_sq in (np.array([0.25, 2.25]), np.array([70.0])):
+            for array in exp_moment_small(4, lam_sq, np.array([0.5, 1.0])):
+                assert not array.flags.writeable
 
 
 def test_no_warning_under_default_policy():

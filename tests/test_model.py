@@ -462,6 +462,78 @@ class TestKeptLayers:
         assert not np.array_equal(results[0].sensor_phi,
                                   results[1].sensor_phi)
 
+    def test_history_series_runs_once_per_size(self, cold_table_memo,
+                                               monkeypatch):
+        # Five one-sensor calls per size on one rod and mesh run the
+        # small-argument series twice per size: once for the final-profile
+        # moment stack and once for the kept phi history, whose series
+        # every later sensor reuses.
+        from heatsource import kernels
+        from heatsource.harness import get_case
+
+        runs = []
+        real_series = kernels._exp_moment_series
+
+        def counting_series(max_power, a, t):
+            runs.append(max_power)
+            return real_series(max_power, a, t)
+
+        monkeypatch.setattr(kernels, "_exp_moment_series", counting_series)
+        base = get_case("example1").geometry
+        m = MeasurementMesh.regular(base, 200, 200)
+        sizes = ((6, 5), (12, 9))
+        sensors = (-1.34, -0.17, 0.99, 2.15, 2.97)
+        got = {}
+        for n_x, n_t in sizes:
+            for x_star in sensors:
+                got[n_x, n_t, x_star] = sensitivity_tables(
+                    base.with_sensor(x_star), m, n_x, n_t, TR)
+            assert runs.count(n_t - 1) == 2, runs
+        assert len(runs) == 2 * len(sizes)
+        monkeypatch.setattr(kernels, "_exp_moment_series", real_series)
+        for (n_x, n_t, x_star), tables in got.items():
+            g = base.with_sensor(x_star)
+            [want] = rod_tables(g, m, n_x, n_t, TR).at_sensors([x_star])
+            for field in self.FIELDS:
+                a, b = getattr(tables, field), getattr(want, field)
+                key = (n_x, n_t, x_star, field)
+                assert np.array_equal(a, b), key
+                assert np.array_equal(np.signbit(a), np.signbit(b)), key
+                assert (a.flags.c_contiguous, a.flags.f_contiguous) \
+                    == (b.flags.c_contiguous, b.flags.f_contiguous), key
+            assert tables.sensor_phi.flags.f_contiguous
+
+    def test_history_series_is_read_only_and_reused(self, geom, mesh,
+                                                    monkeypatch):
+        # The phi history passes one read-only series pair to every call,
+        # and no J_p buffer of the recurrence shares its memory, so two
+        # back-to-back calls return the same bits.
+        from heatsource import model
+
+        seen = []
+        real_rows = model.exp_moment_rows
+
+        def recording_rows(max_power, lam_sq, t, small_series):
+            seen.append(small_series)
+            for p, moment in real_rows(max_power, lam_sq, t, small_series):
+                for array in small_series:
+                    assert not np.shares_memory(array, moment), p
+                yield p, moment
+
+        monkeypatch.setattr(model, "exp_moment_rows", recording_rows)
+        rod = rod_tables(geom, mesh, 12, 9, TR)
+        x = geom.sensor_shifted
+        [first] = rod.phi_history([x])
+        [second] = rod.phi_history([x])
+        assert np.array_equal(first, second)
+        assert np.array_equal(np.signbit(first), np.signbit(second))
+        assert len(seen) == 2 and seen[0] is seen[1]
+        small, series = seen[0]
+        assert small.size and series.shape == (9, small.size)
+        for array in (small, series):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
 
 class TestStreamedHistory:
     """The source-response history, streamed one moment power at a time,
@@ -599,6 +671,27 @@ class TestStreamedHistory:
         # peaked at 14.2 MB with whole-mesh theta-history temporaries.
         peak = self._traced_peak("polynomial", 4000, 2, 3)
         assert peak <= 9e6, peak / 1e6
+
+    def test_phi_history_holds_no_times_by_modes_array(self):
+        # The phi history of an example1 12x9 layer at 1000 nodes keeps its
+        # small-argument series (7555 entries, 0.60 MB); its moment stack
+        # would take 9 x 340 modes x 1000 times, about 24 MB.
+        import tracemalloc
+
+        from heatsource.harness import get_case
+        from heatsource.model import _phi_history
+
+        g = get_case("example1").geometry
+        ts = MeasurementMesh.regular(g, 1000, 1000).t_interior
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            history = _phi_history(ts, g.length, 9, TR)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert callable(history)
+        assert held < 1e6, held / 1e6
 
 
 class TestDirectionResponse:
