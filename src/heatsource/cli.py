@@ -13,16 +13,17 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import os
 import sys
 import textwrap
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DivergenceError, HeatSourceError
+from .errors import DivergenceError, DomainError, HeatSourceError
 from .harness import (ErrorReport, SweepCell, default_sensors,
                       emit_sensitivity_data, get_case, invert_case,
                       sensitivity_demo_geometry, sweep)
@@ -82,21 +83,28 @@ class ConfigValueError(ConfigError):
     exit_code = EXIT_INVALID_CONFIG
 
 
+def _ranged(default, rule):
+    """A RunConfig field whose values must meet ``rule``, a phrase that ends
+    in a comparison with a number ('must be an integer >= 1'); the phrase is
+    both the check and its error message."""
+    return field(default=default, metadata={"rule": rule})
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Fully validated run configuration with all defaults resolved."""
 
     command: str
     case: str = "example1"
-    n_x: int = 12
-    n_t: int = 9
-    alpha: float = ObjectiveConfig.alpha
-    epsilon: float = SolverConfig.epsilon
-    max_iters: int = SolverConfig.max_iters
-    noise_level: float = 0.0
-    seed: int = 42
-    i_x: int = 100
-    i_t: int = 100
+    n_x: int = _ranged(12, "must be an integer >= 1")
+    n_t: int = _ranged(9, "must be an integer >= 1")
+    alpha: float = _ranged(ObjectiveConfig.alpha, "must be >= 0")
+    epsilon: float = _ranged(SolverConfig.epsilon, "must be > 0")
+    max_iters: int = _ranged(SolverConfig.max_iters, "must be >= 0")
+    noise_level: float = _ranged(0.0, "must be >= 0")
+    seed: int = _ranged(42, "must be an integer >= 0")
+    i_x: int = _ranged(100, "must be an integer >= 1")
+    i_t: int = _ranged(100, "must be an integer >= 1")
     x_star: float | None = None
     outdir: str = ""  # resolved to HEATSOURCE_OUTDIR, then "."
     run_id: str = ""
@@ -120,13 +128,13 @@ class RunConfig:
             if not sep:
                 raise ConfigValueError(
                     f"sweep_n entry {pair!r}: expected N_XxN_T like 12x9")
-            sizes.append((_parse_checked("n_x", left, "sweep_n"),
-                          _parse_checked("n_t", right, "sweep_n")))
+            sizes.append((_parse_value("n_x", left, "sweep_n"),
+                          _parse_value("n_t", right, "sweep_n")))
         x_stars = [_parse_float(raw, "sweep_xstar")
                    for raw in entries(self.sweep_xstar)]
         for x_star in x_stars:
             _check_x_star(self.case, x_star, "sweep_xstar")
-        alphas = ([_parse_checked("alpha", raw, "sweep_alpha")
+        alphas = ([_parse_value("alpha", raw, "sweep_alpha")
                    for raw in entries(self.sweep_alpha)]
                   if self.sweep_alpha.strip() else [self.alpha])
         cells = [SweepCell(n_x=n_x, n_t=n_t, x_star=x_star, alpha=alpha)
@@ -135,10 +143,6 @@ class RunConfig:
         if not cells:
             raise ConfigValueError("sweep grid is empty")
         return cells
-
-
-def _parse_str(raw, key):
-    return raw.strip()
 
 
 def _parse_int(raw, key):
@@ -174,42 +178,28 @@ def _parse_floats(raw, key):
 # Each key's parser follows its RunConfig annotation (a string here, under
 # postponed evaluation of annotations).
 _PARSERS = {
-    f.name: {
-        "str": _parse_str,
-        "int": _parse_int,
-        "float": _parse_float,
-        "float | None": _parse_optional_float,
-        "tuple": _parse_floats,
-    }[f.type]
-    for f in fields(RunConfig)
+    "str": lambda raw, key: raw.strip(),
+    "int": _parse_int,
+    "float": _parse_float,
+    "float | None": _parse_optional_float,
+    "tuple": _parse_floats,
 }
-_KNOWN_KEYS = ", ".join(["config (command line only)", *_PARSERS])
-
-# Range checks with the accepted range echoed in every message.
-_RANGES = {
-    "n_x": (lambda v: v >= 1, "n_x must be an integer >= 1"),
-    "n_t": (lambda v: v >= 1, "n_t must be an integer >= 1"),
-    "alpha": (lambda v: v >= 0.0, "alpha must be >= 0"),
-    "epsilon": (lambda v: v > 0.0, "epsilon must be > 0"),
-    "max_iters": (lambda v: v >= 0, "max_iters must be >= 0"),
-    "noise_level": (lambda v: v >= 0.0, "noise_level must be >= 0"),
-    "seed": (lambda v: v >= 0, "seed must be an integer >= 0"),
-    "i_x": (lambda v: v >= 1, "i_x must be an integer >= 1"),
-    "i_t": (lambda v: v >= 1, "i_t must be an integer >= 1"),
-}
+_FIELDS = {f.name: f for f in fields(RunConfig)}
+_KNOWN_KEYS = ", ".join(["config (command line only)", *_FIELDS])
+_COMPARISONS = {">=": operator.ge, ">": operator.gt}
 
 
-def _check_range(key, value, source):
-    check, message = _RANGES[key]
-    if not check(value):
-        raise ConfigValueError(f"{source}={value}: {message}")
-
-
-def _parse_checked(key, raw, source):
-    """Parse ``raw`` as the value of ``key`` and apply its range check;
-    ``source`` names the setting in error messages."""
-    value = _PARSERS[key](raw, source)
-    _check_range(key, value, source)
+def _parse_value(key, raw, source):
+    """``raw`` parsed as a value of ``key`` and checked against the range
+    rule of its field, if it has one; ``source`` names the setting in error
+    messages."""
+    field_ = _FIELDS[key]
+    value = _PARSERS[field_.type](str(raw), source)
+    rule = field_.metadata.get("rule")
+    if rule:
+        comparison, bound = rule.split()[-2:]
+        if not _COMPARISONS[comparison](value, float(bound)):
+            raise ConfigValueError(f"{source}={value}: {key} {rule}")
     return value
 
 
@@ -278,7 +268,7 @@ def parse_config(path=None, overrides=None) -> RunConfig:
 
 
 def _build_config(raw_values: dict) -> RunConfig:
-    unknown = sorted(set(raw_values) - set(_PARSERS))
+    unknown = sorted(set(raw_values) - set(_FIELDS))
     if unknown:
         raise ConfigValueError(
             f"unknown config keys: {', '.join(unknown)}; "
@@ -286,39 +276,31 @@ def _build_config(raw_values: dict) -> RunConfig:
     if "command" not in raw_values:
         raise ConfigValueError(
             f"missing required key 'command' (one of {', '.join(COMMANDS)})")
-    parsed = {key: _PARSERS[key](str(raw), key)
+    values = {key: _parse_value(key, raw, key)
               for key, raw in raw_values.items()}
 
-    command = parsed["command"]
+    command = values["command"]
     if command not in COMMANDS:
         raise ConfigValueError(
             f"command={command!r}: must be one of {', '.join(COMMANDS)}")
-    # The sensitivity command defaults to the demo curve counts.
-    if command == "sensitivity":
-        parsed.setdefault("n_x", 6)
-        parsed.setdefault("n_t", 5)
-    cfg = replace(RunConfig(command=command),
-                  **{k: v for k, v in parsed.items() if k != "command"})
-
-    for key in _RANGES:
-        _check_range(key, getattr(cfg, key), key)
-
+    case_name = values.get("case", RunConfig.case)
     try:
-        case = get_case(cfg.case)
+        case = get_case(case_name)
     except KeyError as exc:
         raise ConfigValueError(str(exc)) from None
-    if "sweep_xstar" not in parsed:
-        cfg = replace(cfg, sweep_xstar=",".join(
-            repr(x) for x in default_sensors(case)))
-    if cfg.x_star is not None:
-        _check_x_star(cfg.case, cfg.x_star, "x_star")
+    if values.get("x_star") is not None:
+        _check_x_star(case_name, values["x_star"], "x_star")
 
-    if not cfg.outdir:
-        cfg = replace(cfg, outdir=os.environ.get("HEATSOURCE_OUTDIR", "."))
-    if not cfg.run_id:
-        cfg = replace(cfg, run_id=f"{cfg.command}_{cfg.case}")
-    if cfg.command == "sweep":
-        cfg.sweep_cells  # reject a bad cell before any cell runs
+    # Defaults that depend on the command, the case or the environment.
+    resolved = {"sweep_xstar": ",".join(map(repr, default_sensors(case)))}
+    if command == "sensitivity":  # the demo curve counts
+        resolved.update(n_x=6, n_t=5)
+    resolved.update(values)
+    resolved["outdir"] = (values.get("outdir")
+                          or os.environ.get("HEATSOURCE_OUTDIR", "."))
+    resolved["run_id"] = values.get("run_id") or f"{command}_{case_name}"
+    cfg = RunConfig(**resolved)
+    cfg.sweep_cells  # a bad sweep key exits 2 whatever the command
     return cfg
 
 
@@ -514,15 +496,12 @@ def main(argv=None) -> int:
             print((__doc__ or "").strip(),
                   textwrap.fill(f"Keys: {_KNOWN_KEYS}."), sep="\n\n")
             return EXIT_OK
-        cfg = parse_config(pairs.pop("config", None), pairs)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    try:
-        return dispatch(cfg)
+        return dispatch(parse_config(pairs.pop("config", None), pairs))
     except HeatSourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        # a size or level the model cannot represent is a bad setting too
+        return (EXIT_INVALID_CONFIG if isinstance(exc, DomainError)
+                else getattr(exc, "exit_code", EXIT_ERROR))
 
 
 if __name__ == "__main__":

@@ -93,16 +93,16 @@ def mode_count(amplitude: float, t: float, length: float,
     ratio = amplitude / trunc.tol
     if ratio <= 1.0:
         return 1
-    needed = math.ceil(length / math.pi * math.sqrt(math.log(ratio) / t))
-    needed = max(needed, 1)
-    if needed > trunc.max_terms:
+    # Compared unrounded, so an infinite bound is capped too.
+    bound = length / math.pi * math.sqrt(math.log(ratio) / t)
+    if bound > trunc.max_terms:
         _warn_truncated(
             f"series cut at {trunc.max_terms} modes before the tail bound "
             f"reached tol={trunc.tol:g}",
             stacklevel=2,
         )
         return trunc.max_terms
-    return needed
+    return max(math.ceil(bound), 1)
 
 
 # Elements per sin_modes block: its scratch is three (points, modes) arrays

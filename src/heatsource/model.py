@@ -177,9 +177,14 @@ class MeasurementMesh:
 def _theta_modes(n_theta: int, t_min: float, length: float,
                  trunc: TruncationPolicy) -> np.ndarray:
     # Term bound: (2/L) * max_p |S_p| * exp(-lam^2 t), |S_p| <= L^(p+1)/(p+1).
-    amp = 2.0 / length * max(
-        length ** (p + 1) / (p + 1) for p in range(n_theta)
-    )
+    try:
+        amp = 2.0 / length * max(
+            length ** (p + 1) / (p + 1) for p in range(n_theta)
+        )
+    except OverflowError:
+        raise DomainError(f"{n_theta} initial-profile coefficients on a rod "
+                          f"of length {length:g}: the moment bound "
+                          "overflows") from None
     n = mode_count(amp, t_min, length, trunc)
     return np.arange(1, n + 1, dtype=float)
 
@@ -268,14 +273,19 @@ def _phi_modes(n_phi: int, t_min: float, t_max: float, length: float,
     )
     n = mode_count(math.exp(min(log_amp, 700.0)), t_min, length, trunc)
     n = max(n, 31)
-    c2 = max(
-        ((k - 1) * (k - 2) * t_max ** (k - 3) for k in range(3, n_phi + 1)),
-        default=0.0,
-    )
-    if c2 > 0.0:
-        bound = trunc.tol / (4.0 * c2)
-        tail_coef = (4.0 / length) * (length / math.pi) ** 7 / 12.0
-        n = max(n, math.ceil((tail_coef / bound) ** (1.0 / 6.0)))
+    try:
+        c2 = max(
+            ((k - 1) * (k - 2) * t_max ** (k - 3)
+             for k in range(3, n_phi + 1)),
+            default=0.0,
+        )
+        if c2 > 0.0:
+            bound = trunc.tol / (4.0 * c2)
+            tail_coef = (4.0 / length) * (length / math.pi) ** 7 / 12.0
+            n = max(n, math.ceil((tail_coef / bound) ** (1.0 / 6.0)))
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"{n_phi} source coefficients at t={t_max:g}: the "
+                          "moment tail bound overflows") from None
     if n > trunc.max_terms:
         _warn_truncated(
             f"source-response series cut at {trunc.max_terms} modes before "
@@ -449,9 +459,13 @@ class RodTables:
 
 def rod_tables(geom: Geometry, mesh: MeasurementMesh, n_x: int, n_t: int,
                trunc: TruncationPolicy = DEFAULT_TRUNCATION) -> RodTables:
-    """Build the sensor-independent layer of the response tables."""
+    """Build the sensor-independent layer of the response tables, on
+    read-only copies of the mesh nodes, with read-only final and penalty
+    tables: it shares no writable array with anyone."""
     if n_x < 1 or n_t < 1:
         raise ShapeMismatchError(f"n_x and n_t must be >= 1, got {n_x}, {n_t}")
+    mesh = MeasurementMesh(_read_only(mesh.x_nodes.copy()),
+                           _read_only(mesh.t_nodes.copy()))
     xs, ts, length = mesh.x_interior, mesh.t_interior, geom.length
     final_theta = theta_response_profile(xs, geom.t_final, length, n_x, trunc)
     final_phi = phi_response_profile(xs, geom.t_final, length, n_t, trunc)
@@ -459,12 +473,17 @@ def rod_tables(geom: Geometry, mesh: MeasurementMesh, n_x: int, n_t: int,
     # without it, as BLAS may sum a row in an order that depends on the row
     # count.
     return RodTables(geom, mesh, n_x, n_t, trunc,
-                     np.vstack([np.zeros(n_x), final_theta]),
-                     np.vstack([np.zeros(n_t), final_phi]),
-                     npoly.polyvander(xs, n_x - 1),
-                     npoly.polyvander(ts, n_t - 1),
+                     _read_only(np.vstack([np.zeros(n_x), final_theta])),
+                     _read_only(np.vstack([np.zeros(n_t), final_phi])),
+                     _read_only(npoly.polyvander(xs, n_x - 1)),
+                     _read_only(npoly.polyvander(ts, n_t - 1)),
                      _theta_history(ts, length, n_x, trunc),
                      _phi_history(ts, length, n_t, trunc))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 # The layers sensitivity_tables built on the last rod and mesh it was called
@@ -472,20 +491,6 @@ def rod_tables(geom: Geometry, mesh: MeasurementMesh, n_x: int, n_t: int,
 # only ever receives layers of its own key, so calls racing on two rods can
 # lose a layer but never return one of the other rod.
 _kept = (None, {})
-
-
-def _read_only_layer(geom: Geometry, mesh: MeasurementMesh, n_x: int,
-                     n_t: int, trunc: TruncationPolicy) -> RodTables:
-    """``rod_tables`` on read-only copies of the mesh nodes, with read-only
-    final and penalty tables, so it shares no writable array with anyone."""
-    nodes = [array.copy() for array in (mesh.x_nodes, mesh.t_nodes)]
-    for array in nodes:
-        array.flags.writeable = False
-    layer = rod_tables(geom, MeasurementMesh(*nodes), n_x, n_t, trunc)
-    for array in (layer.final_theta, layer.final_phi, layer.penalty_x,
-                  layer.penalty_t):
-        array.flags.writeable = False
-    return layer
 
 
 def sensitivity_tables(geom: Geometry, mesh: MeasurementMesh, n_x: int,
@@ -516,7 +521,7 @@ def sensitivity_tables(geom: Geometry, mesh: MeasurementMesh, n_x: int,
     layer = layers.get(size)
     if layer is None:
         issued = kernels._truncations_issued
-        layer = _read_only_layer(geom, mesh, n_x, n_t, trunc)
+        layer = rod_tables(geom, mesh, n_x, n_t, trunc)
         if kernels._truncations_issued == issued:
             layers[size] = layer
     [tables] = layer.at_sensors([geom.sensor])

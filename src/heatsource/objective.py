@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatchError, SingularSystemError
+from .errors import DomainError, ShapeMismatchError, SingularSystemError
 from .model import PolyParams, SensitivityTables
 
 __all__ = [
@@ -40,7 +40,7 @@ class Measurements:
         self.u_f = np.atleast_1d(np.asarray(self.u_f, dtype=float))
         self.u_star = np.atleast_1d(np.asarray(self.u_star, dtype=float))
         if not (np.all(np.isfinite(self.u_f)) and np.all(np.isfinite(self.u_star))):
-            raise ValueError("measurements must be finite")
+            raise DomainError("measurements must be finite")
 
     def check_against(self, tables: SensitivityTables) -> None:
         if self.u_f.size != tables.final_theta.shape[0]:

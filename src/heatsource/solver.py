@@ -48,8 +48,9 @@ logger = logging.getLogger(__name__)
 # gradient of its own.
 STAGNATION_GRAD_NORM = 1e-14
 
-# The stationarity audit draws its trials from this seed; a margin at or
-# above -STATIONARITY_SLACK counts as holding.
+# The stationarity audit draws STATIONARITY_TRIALS trials from this seed; a
+# margin at or above -STATIONARITY_SLACK counts as holding.
+STATIONARITY_TRIALS = 20
 STATIONARITY_SEED = 20_240_817
 STATIONARITY_SLACK = 1e-8
 
@@ -121,7 +122,6 @@ class StationarityCheck:
     evaluated; margins are normalized by the magnitude of the two sides.
     """
 
-    n_trials: int
     worst_margin_mixed: float
     worst_margin_symmetric: float
 
@@ -153,8 +153,8 @@ class ConvergenceReport:
 
 
 def stationarity_check(params: PolyParams, meas: Measurements,
-                       cfg: ObjectiveConfig, tables: SensitivityTables,
-                       n_trials: int = 20) -> StationarityCheck:
+                       cfg: ObjectiveConfig, tables: SensitivityTables
+                       ) -> StationarityCheck:
     """Audit the first-order necessary condition at ``params``.
 
     For each standard-normal trial coefficient vector, build the model
@@ -167,7 +167,7 @@ def stationarity_check(params: PolyParams, meas: Measurements,
     # One row per trial, drawn as [phi | theta] in the per-trial order and
     # reordered to the [theta | phi] layout of x.
     trials = np.roll(np.random.default_rng(STATIONARITY_SEED).standard_normal(
-        (n_trials, tables.n_t + tables.n_x)), tables.n_x, axis=1)
+        (STATIONARITY_TRIALS, tables.n_t + tables.n_x)), tables.n_x, axis=1)
     deltas = trials - np.concatenate([params.theta, params.phi])
     response = deltas @ stacked.T
     # Row blocks of M: final-time profile, sensor history, penalty.
@@ -181,8 +181,8 @@ def stationarity_check(params: PolyParams, meas: Measurements,
     for weight_s in (1.0, 2.0):  # the mixed and the symmetric weighting
         rhs = 2.0 * data_f + weight_s * data_s
         margin = (lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs))
-        worst.append(float(margin.min(initial=math.inf)))
-    return StationarityCheck(n_trials, *worst)
+        worst.append(float(margin.min()))
+    return StationarityCheck(*worst)
 
 
 def legendre_map(n: int, top: float) -> np.ndarray:

@@ -285,7 +285,7 @@ def test_criterion_7_stationarity_inequality(small_problem):
                            tables=tables)[0],
     }
     for label, params in minimizers.items():
-        check = stationarity_check(params, meas, cfg, tables, n_trials=20)
+        check = stationarity_check(params, meas, cfg, tables)
         if not (check.holds_mixed and check.holds_symmetric):
             failures.append(
                 f"{label}: margins {check.worst_margin_mixed:.2e} / "

@@ -27,6 +27,24 @@ def read_summary(path):
     return pairs
 
 
+# Each ranged key at its first bad value, with the full error message.
+_RANGE_ERRORS = [
+    ("n_x=0", "n_x=0: n_x must be an integer >= 1"),
+    ("n_t=-2", "n_t=-2: n_t must be an integer >= 1"),
+    ("alpha=-2", "alpha=-2.0: alpha must be >= 0"),
+    ("epsilon=0", "epsilon=0.0: epsilon must be > 0"),
+    ("max_iters=-1", "max_iters=-1: max_iters must be >= 0"),
+    ("noise_level=-1e-300", "noise_level=-1e-300: noise_level must be >= 0"),
+    ("seed=-1", "seed=-1: seed must be an integer >= 0"),
+    ("i_x=0", "i_x=0: i_x must be an integer >= 1"),
+    ("i_t=0", "i_t=0: i_t must be an integer >= 1"),
+    # a sweep entry is checked like the key it stands for
+    ("sweep_n=6x5,0x5", "sweep_n=0: n_x must be an integer >= 1"),
+    ("sweep_n=6x0", "sweep_n=0: n_t must be an integer >= 1"),
+    ("sweep_alpha=1e-6,-1", "sweep_alpha=-1.0: alpha must be >= 0"),
+]
+
+
 class TestParseConfig:
     def test_minimal_defaults(self):
         cfg = parse_config_text("command=invert\ncase=example1\n")
@@ -57,13 +75,13 @@ class TestParseConfig:
         cfg = parse_config(path, {"alpha": "1e-4"})
         assert cfg.alpha == 1e-4
 
-    def test_range_violations(self):
-        with pytest.raises(ConfigValueError, match="epsilon"):
-            parse_config_text("command=invert\nepsilon=-1\n")
-        with pytest.raises(ConfigValueError, match="alpha"):
-            parse_config_text("command=invert\nalpha=-2\n")
-        with pytest.raises(ConfigValueError, match="i_x"):
-            parse_config_text("command=invert\ni_x=0\n")
+    @pytest.mark.parametrize("line, message", _RANGE_ERRORS,
+                             ids=[line for line, _ in _RANGE_ERRORS])
+    @pytest.mark.parametrize("command", ["invert", "sweep"])
+    def test_range_violations(self, command, line, message):
+        with pytest.raises(ConfigValueError) as err:
+            parse_config_text(f"command={command}\n{line}\n")
+        assert str(err.value) == message
 
     def test_unknown_key_rejected(self):
         # no prefix matching; the truncation policy is a library-only
@@ -512,6 +530,13 @@ def test_flag_and_file_line_parse_alike(command, key, value):
     (["--help"], EXIT_OK),
     (["invert", "--bogus", "1"], EXIT_INVALID_CONFIG),
     (["invert", "--config", "{tmp}/missing.cfg"], EXIT_MISSING_FILE),
+    # sweep keys are checked whatever the command
+    (["invert", "--sweep_n", "bogus"], EXIT_INVALID_CONFIG),
+    # in-range sizes and levels the model cannot represent
+    (["invert", "--n_x", "400"], EXIT_INVALID_CONFIG),
+    (["forward", "--n_t", "1100"], EXIT_INVALID_CONFIG),
+    (["forward", "--n_t", "200", "--i_x", "10", "--i_t", "10"], EXIT_OK),
+    (["invert", "--noise_level", "1e308"], EXIT_INVALID_CONFIG),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
 def test_console_exit_status(tmp_path, args, code):
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -522,4 +547,5 @@ def test_console_exit_status(tmp_path, args, code):
          *[arg.format(tmp=tmp_path) for arg in args]],
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
     assert proc.returncode == code, proc.stderr
+    assert ("error:" in proc.stderr) == (code != EXIT_OK)
     assert "Traceback" not in proc.stderr

@@ -437,6 +437,15 @@ class TestKeptLayers:
         # The histories are the caller's own.
         second.sensor_phi[0, 0] = 1.0
         assert first.sensor_phi[0, 0] != 1.0
+        # Every layer, kept or not (sweep and sensitivity build their own),
+        # has read-only tables on read-only copies of the nodes.
+        rod = rod_tables(geom, mesh, 6, 5, TR)
+        for array in [getattr(rod, field) for field in self.SHARED] + [
+                rod.mesh.x_nodes, rod.mesh.t_nodes]:
+            with pytest.raises(ValueError, match="read-only"):
+                array[-1] = 1.0
+        assert not np.shares_memory(rod.mesh.x_nodes, mesh.x_nodes)
+        assert not np.shares_memory(rod.mesh.t_nodes, mesh.t_nodes)
 
     def test_writes_to_the_mesh_reach_no_kept_layer(self, cold_table_memo,
                                                     geom):

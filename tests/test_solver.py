@@ -519,7 +519,7 @@ class TestStationarityCheck:
         _, _, tables, meas = example_problem
         cfg = ObjectiveConfig(alpha=1e-6)
         minimizer = ridge_solve(meas, cfg, tables)
-        check = stationarity_check(minimizer, meas, cfg, tables, n_trials=20)
+        check = stationarity_check(minimizer, meas, cfg, tables)
         assert check.holds_mixed
         assert check.holds_symmetric
 
@@ -541,7 +541,7 @@ class TestStationarityCheck:
         _, _, tables, meas = example_problem
         cfg = ObjectiveConfig(alpha=1e-6)
         bogus = PolyParams(phi=np.full(5, 50.0), theta=np.full(6, -40.0))
-        check = stationarity_check(bogus, meas, cfg, tables, n_trials=20)
+        check = stationarity_check(bogus, meas, cfg, tables)
         assert not (check.holds_mixed and check.holds_symmetric)
 
 
@@ -595,14 +595,6 @@ class TestStationarityBatch:
                 ref = _per_trial_stationarity(params, meas, cfg, tables)
                 got = [check.worst_margin_mixed, check.worst_margin_symmetric]
                 np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
-
-    def test_no_trials(self, example_problem):
-        _, _, tables, meas = example_problem
-        cfg = ObjectiveConfig(alpha=1e-6)
-        check = stationarity_check(PolyParams.zeros(6, 5), meas, cfg, tables,
-                                   n_trials=0)
-        assert check.worst_margin_mixed == math.inf
-        assert check.holds_mixed and check.holds_symmetric
 
 
 class TestIterationTrace:
