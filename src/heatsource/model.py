@@ -446,22 +446,25 @@ class RodTables:
     def at_sensors(self, x_stars) -> list:
         """The response tables with the sensor at each physical position in
         ``x_stars``, in order.  Raises DomainError if any lies outside the
-        rod."""
+        rod or if a history table is not finite."""
         geoms = [self.geom.with_sensor(x) for x in x_stars]
         xs = [geom.sensor_shifted for geom in geoms]
+        histories = list(zip(self.theta_history(xs), self.phi_history(xs)))
+        _check_finite("sensor-history", self.n_x, self.n_t,
+                      *[table for pair in histories for table in pair])
         return [SensitivityTables(
                     geom, self.mesh, self.n_x, self.n_t, self.trunc,
                     self.final_theta[1:], self.final_phi[1:], theta, phi,
                     self.penalty_x, self.penalty_t)
-                for geom, theta, phi in zip(geoms, self.theta_history(xs),
-                                            self.phi_history(xs))]
+                for geom, (theta, phi) in zip(geoms, histories)]
 
 
 def rod_tables(geom: Geometry, mesh: MeasurementMesh, n_x: int, n_t: int,
                trunc: TruncationPolicy = DEFAULT_TRUNCATION) -> RodTables:
     """Build the sensor-independent layer of the response tables, on
     read-only copies of the mesh nodes, with read-only final and penalty
-    tables: it shares no writable array with anyone."""
+    tables: it shares no writable array with anyone.  Raises DomainError
+    if a final-time table is not finite."""
     if n_x < 1 or n_t < 1:
         raise ShapeMismatchError(f"n_x and n_t must be >= 1, got {n_x}, {n_t}")
     mesh = MeasurementMesh(_read_only(mesh.x_nodes.copy()),
@@ -469,6 +472,7 @@ def rod_tables(geom: Geometry, mesh: MeasurementMesh, n_x: int, n_t: int,
     xs, ts, length = mesh.x_interior, mesh.t_interior, geom.length
     final_theta = theta_response_profile(xs, geom.t_final, length, n_x, trunc)
     final_phi = phi_response_profile(xs, geom.t_final, length, n_t, trunc)
+    _check_finite("final-time", n_x, n_t, final_theta, final_phi)
     # Row 0 (the left rod end) is exactly zero; the data rows are built
     # without it, as BLAS may sum a row in an order that depends on the row
     # count.
@@ -479,6 +483,15 @@ def rod_tables(geom: Geometry, mesh: MeasurementMesh, n_x: int, n_t: int,
                      _read_only(npoly.polyvander(ts, n_t - 1)),
                      _theta_history(ts, length, n_x, trunc),
                      _phi_history(ts, length, n_t, trunc))
+
+
+def _check_finite(kind: str, n_x: int, n_t: int, *tables) -> None:
+    # Below the sizes whose moment bounds overflow, the series themselves
+    # can: theta from n_x = 158 on example1, phi from about n_t = 360.
+    if not all(np.isfinite(table).all() for table in tables):
+        raise DomainError(f"the {kind} response tables for n_x={n_x}, "
+                          f"n_t={n_t} are not finite: the series overflow "
+                          "a float")
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

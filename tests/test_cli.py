@@ -536,6 +536,12 @@ def test_flag_and_file_line_parse_alike(command, key, value):
     (["invert", "--n_x", "400"], EXIT_INVALID_CONFIG),
     (["forward", "--n_t", "1100"], EXIT_INVALID_CONFIG),
     (["forward", "--n_t", "200", "--i_x", "10", "--i_t", "10"], EXIT_OK),
+    # in-range sizes whose series overflow: the tables are not finite
+    (["forward", "--n_x", "200"], EXIT_INVALID_CONFIG),
+    (["forward", "--n_x", "158"], EXIT_INVALID_CONFIG),
+    (["invert", "--n_x", "380"], EXIT_INVALID_CONFIG),
+    (["forward", "--n_t", "500", "--i_x", "10", "--i_t", "10"],
+     EXIT_INVALID_CONFIG),
     (["invert", "--noise_level", "1e308"], EXIT_INVALID_CONFIG),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
 def test_console_exit_status(tmp_path, args, code):

@@ -366,6 +366,41 @@ class TestRodTables:
         with pytest.raises(DomainError):
             rod.at_sensors([geom.sensor, geom.offset - 0.1])
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value",
+                                "ignore::heatsource.errors.TruncationWarning")
+    @pytest.mark.parametrize("length, last_finite", [(L, 157), (2.0, 196)])
+    def test_final_tables_that_are_not_finite_raise(self, length,
+                                                    last_finite):
+        # The theta series overflow from n_x = 158 on example1's rod and
+        # from 197 on the polynomial case's, below the moment-bound guard.
+        rod_geom = Geometry(offset=0.0, length=length, t_final=2.0,
+                            sensor=length / 3)
+        small = MeasurementMesh.regular(rod_geom, 10, 10)
+        [tables] = rod_tables(rod_geom, small, last_finite, 2,
+                              TR).at_sensors([rod_geom.sensor])
+        assert np.isfinite(tables.final_theta).all()
+        assert np.isfinite(tables.sensor_theta).all()
+        with pytest.raises(DomainError,
+                           match=f"final-time response tables for "
+                                 f"n_x={last_finite + 1}, n_t=2 are not "
+                                 "finite"):
+            rod_tables(rod_geom, small, last_finite + 1, 2, TR)
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value",
+                                "ignore::heatsource.errors.TruncationWarning")
+    def test_history_tables_that_are_not_finite_raise(self, geom):
+        # At n_t = 360 the final-time phi tables of example1 are finite but
+        # its sensor histories are not.
+        small = MeasurementMesh.regular(geom, 10, 10)
+        rod = rod_tables(geom, small, 3, 360, TR)
+        assert np.isfinite(rod.final_phi).all()
+        with pytest.raises(DomainError,
+                           match="sensor-history response tables for "
+                                 "n_x=3, n_t=360 are not finite"):
+            rod.at_sensors([geom.sensor])
+        with pytest.raises(DomainError, match="sensor-history"):
+            sensitivity_tables(geom, small, 3, 360, TR)
+
 
 class TestKeptLayers:
     """sensitivity_tables keeps the layers of the last rod and mesh: the
