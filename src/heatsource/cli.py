@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DivergenceError, DomainError, HeatSourceError
-from .harness import (ErrorReport, SweepCell, default_sensors,
+from .harness import (DEFAULT_SIZES, ErrorReport, SweepCell, default_sensors,
                       emit_sensitivity_data, get_case, invert_case,
                       sensitivity_demo_geometry, sweep)
 from .model import MeasurementMesh, PolyParams, sensitivity_tables
@@ -64,9 +64,6 @@ EXIT_NOT_CONVERGED = 5
 EXIT_DIVERGED = 6
 EXIT_IO_FAILURE = 7
 
-COMMANDS = ("forward", "invert", "sweep", "sensitivity")
-
-
 class ConfigError(HeatSourceError):
     exit_code = EXIT_INVALID_CONFIG
 
@@ -80,7 +77,7 @@ class ConfigParseError(ConfigError):
 
 
 class ConfigValueError(ConfigError):
-    exit_code = EXIT_INVALID_CONFIG
+    """A key, value or command line the run cannot take."""
 
 
 def _ranged(default, rule):
@@ -110,7 +107,7 @@ class RunConfig:
     run_id: str = ""
     phi: tuple = ()
     theta: tuple = ()
-    sweep_n: str = "6x5,12x9"
+    sweep_n: str = ",".join(f"{n_x}x{n_t}" for n_x, n_t in DEFAULT_SIZES)
     sweep_xstar: str = ""  # resolved to the case's default_sensors
     sweep_alpha: str = ""
 
@@ -205,11 +202,11 @@ def _parse_value(key, raw, source):
 
 def _check_x_star(case_name, x_star, source):
     geom = get_case(case_name).geometry
-    lo, hi = geom.offset, geom.offset + geom.length
-    if not lo < x_star < hi:
+    if not geom.contains(x_star):
         raise ConfigValueError(
             f"{source}={x_star}: must lie strictly inside "
-            f"({lo:g}, {hi:g}) for case {case_name!r}")
+            f"({geom.offset:g}, {geom.offset + geom.length:g}) "
+            f"for case {case_name!r}")
 
 
 def _parse_lines(text: str, where: str) -> dict:
@@ -287,7 +284,7 @@ def _build_config(raw_values: dict) -> RunConfig:
     try:
         case = get_case(case_name)
     except KeyError as exc:
-        raise ConfigValueError(str(exc)) from None
+        raise ConfigValueError(exc.args[0]) from None
     if values.get("x_star") is not None:
         _check_x_star(case_name, values["x_star"], "x_star")
 
@@ -345,17 +342,11 @@ def _run_invert(cfg: RunConfig):
     outdir = Path(cfg.outdir)
     write_csv(outdir / f"{cfg.run_id}_trace.csv", IterationTrace.HEADER,
               result.trace.rows())
-    ts = result.mesh.t_nodes
+    source, initial = case.curves(result.params, result.mesh)
     write_csv(outdir / f"{cfg.run_id}_source.csv",
-              ["t", "exact", "reconstructed"],
-              np.column_stack([ts, case.exact_F(ts),
-                               result.params.source_values(ts)]))
-    xs = result.mesh.x_nodes
-    x_phys = case.geometry.to_physical(xs)
+              ["t", "exact", "reconstructed"], source)
     write_csv(outdir / f"{cfg.run_id}_initial.csv",
-              ["x", "exact", "reconstructed"],
-              np.column_stack([x_phys, case.exact_u0(x_phys),
-                               result.params.initial_values(xs)]))
+              ["x", "exact", "reconstructed"], initial)
     rep = result.report
     stat = rep.stationarity
     return [
@@ -431,11 +422,12 @@ def _run_sensitivity(cfg: RunConfig):
 
 
 _RUNNERS = {
-    "invert": _run_invert,
     "forward": _run_forward,
+    "invert": _run_invert,
     "sweep": _run_sweep,
     "sensitivity": _run_sensitivity,
 }
+COMMANDS = tuple(_RUNNERS)
 
 
 def dispatch(cfg: RunConfig) -> int:

@@ -69,16 +69,27 @@ class ManufacturedCase:
         fit residuals so representation error is never mistaken for solver
         error.
         """
-        ts = mesh.t_nodes
-        xs = mesh.x_nodes
+        ts, xs = mesh.t_nodes, mesh.x_nodes
         phi = npoly.polyfit(ts, self.exact_F(ts), n_t - 1)
         theta = npoly.polyfit(
             xs, self.exact_u0(self.geometry.to_physical(xs)), n_x - 1)
         params = PolyParams(phi=phi, theta=theta)
-        fit_f = float(np.max(np.abs(params.source_values(ts) - self.exact_F(ts))))
-        fit_u0 = float(np.max(np.abs(
-            params.initial_values(xs) - self.exact_u0(self.geometry.to_physical(xs)))))
+        source, initial = self.curves(params, mesh)
+        fit_f = float(np.max(np.abs(source[:, 1] - source[:, 2])))
+        fit_u0 = float(np.max(np.abs(initial[:, 1] - initial[:, 2])))
         return params, fit_f, fit_u0
+
+    def curves(self, params: PolyParams, mesh: MeasurementMesh):
+        """The exact and reconstructed source over every time node, as rows
+        ``[t, exact, reconstructed]``, and the initial profile over every
+        spatial node, as rows ``[x, exact, reconstructed]`` with physical x.
+        """
+        ts, xs = mesh.t_nodes, mesh.x_nodes
+        x_phys = self.geometry.to_physical(xs)
+        return (np.column_stack([ts, self.exact_F(ts),
+                                 params.source_values(ts)]),
+                np.column_stack([x_phys, self.exact_u0(x_phys),
+                                 params.initial_values(xs)]))
 
 
 def _example1() -> ManufacturedCase:
@@ -187,11 +198,9 @@ def rmse_report(case: ManufacturedCase, params: PolyParams,
     """Root-mean-square errors of the reconstructed source and initial
     profile against the exact ones, over the full meshes (node 0 included,
     normalized by the interval count)."""
-    ts = mesh.t_nodes
-    xs = mesh.x_nodes
-    f_err = case.exact_F(ts) - params.source_values(ts)
-    u0_err = (case.exact_u0(case.geometry.to_physical(xs))
-              - params.initial_values(xs))
+    source, initial = case.curves(params, mesh)
+    f_err = source[:, 1] - source[:, 2]
+    u0_err = initial[:, 1] - initial[:, 2]
     return ErrorReport(
         e_f=float(np.sqrt(np.sum(f_err * f_err) / mesh.i_t)),
         e_u0=float(np.sqrt(np.sum(u0_err * u0_err) / mesh.i_x)),
@@ -256,29 +265,26 @@ class SweepCell:
     alpha: float
 
 
-# Sensor positions of the reference table, on example1's rod.
+# Sensor positions of the reference table, on example1's rod, and the
+# coefficient counts (n_x, n_t) of the default sweep.
 REFERENCE_SENSORS = (-1.34, -0.17, 0.99, 2.15, 2.97)
+DEFAULT_SIZES = ((6, 5), (12, 9))
 
 
 def default_sensors(case: ManufacturedCase) -> tuple:
     """Sensor positions of a case's default sweep: the reference positions
     when they all lie inside the case's rod, else the case's own sensor."""
     geom = case.geometry
-    if all(geom.offset < x < geom.offset + geom.length
-           for x in REFERENCE_SENSORS):
+    if all(map(geom.contains, REFERENCE_SENSORS)):
         return REFERENCE_SENSORS
     return (geom.sensor,)
 
 
-def default_sweep_cells(alpha: float = 1e-6):
-    """The ten default cells: two coefficient counts crossed with the five
+def default_sweep_cells(alpha: float = ObjectiveConfig.alpha):
+    """The ten default cells: the default sizes crossed with the five
     reference sensor positions."""
-    cells = []
-    for n_x, n_t in ((6, 5), (12, 9)):
-        for x_star in REFERENCE_SENSORS:
-            cells.append(SweepCell(n_x=n_x, n_t=n_t, x_star=x_star,
-                                   alpha=alpha))
-    return cells
+    return [SweepCell(n_x=n_x, n_t=n_t, x_star=x_star, alpha=alpha)
+            for n_x, n_t in DEFAULT_SIZES for x_star in REFERENCE_SENSORS]
 
 
 def sweep(case: ManufacturedCase, cells, solver_cfg: SolverConfig,
@@ -297,7 +303,7 @@ def sweep(case: ManufacturedCase, cells, solver_cfg: SolverConfig,
     """
     cells = list(cells)
     reports = []
-    tables = {}  # (x_star, n_x, n_t) -> SensitivityTables
+    tables = {}  # (n_x, n_t) -> {x_star: SensitivityTables}
     measurements = {}  # x_star -> Measurements
     for cell in cells:
         try:
@@ -307,22 +313,21 @@ def sweep(case: ManufacturedCase, cells, solver_cfg: SolverConfig,
             if cell.x_star not in measurements:
                 measurements[cell.x_star] = generate_measurements(
                     cell_case, mesh, noise_level, seed)
-            key = (cell.x_star, cell.n_x, cell.n_t)
-            if key not in tables:
+            size = (cell.n_x, cell.n_t)
+            if size not in tables:
                 # One layer and one history build per size, for all its
                 # sensors that lie in the rod; the others fail above.
                 sensors = list(dict.fromkeys(
                     c.x_star for c in cells
-                    if (c.n_x, c.n_t) == (cell.n_x, cell.n_t)
-                    and geom.offset < c.x_star < geom.offset + geom.length))
-                rod = rod_tables(geom, mesh, cell.n_x, cell.n_t)
-                for x_star, built in zip(sensors, rod.at_sensors(sensors)):
-                    tables[(x_star, cell.n_x, cell.n_t)] = built
+                    if (c.n_x, c.n_t) == size and geom.contains(c.x_star)))
+                tables[size] = dict(zip(sensors, rod_tables(
+                    geom, mesh, *size).at_sensors(sensors)))
             result = invert_case(
                 cell_case, cell.n_x, cell.n_t,
                 ObjectiveConfig(alpha=cell.alpha), solver_cfg,
                 i_x=i_x, i_t=i_t, noise_level=noise_level, seed=seed,
-                tables=tables[key], meas=measurements[cell.x_star])
+                tables=tables[size][cell.x_star],
+                meas=measurements[cell.x_star])
             reports.append(result.errors)
         except Exception as exc:  # per-cell isolation
             logger.warning("sweep cell %s failed: %s", cell, exc)

@@ -63,11 +63,16 @@ class Geometry:
             raise DomainError(f"length must be positive, got {self.length}")
         if not self.t_final > 0.0:
             raise DomainError(f"t_final must be positive, got {self.t_final}")
-        if not self.offset < self.sensor < self.offset + self.length:
+        if not self.contains(self.sensor):
             raise DomainError(
                 f"sensor={self.sensor} must lie strictly inside "
                 f"({self.offset}, {self.offset + self.length})"
             )
+
+    def contains(self, x: float) -> bool:
+        """Whether physical ``x`` lies strictly inside the rod, as a sensor
+        must."""
+        return self.offset < x < self.offset + self.length
 
     @property
     def sensor_shifted(self) -> float:
@@ -417,6 +422,13 @@ class SensitivityTables:
         return u_final, u_sensor
 
 
+# The series of a table build may overflow on the way; rod_tables and
+# RodTables.at_sensors judge what they build with _check_finite instead of
+# letting numpy warn.  (The histories' einsum overflows without a warning
+# today, but matmul and the kernels' ufuncs warn.)
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+
+
 @dataclass(frozen=True, eq=False)
 class RodTables:
     """The sensor-independent layer of the response tables of one rod, mesh,
@@ -443,6 +455,7 @@ class RodTables:
     theta_history: callable
     phi_history: callable
 
+    @_quiet_overflow
     def at_sensors(self, x_stars) -> list:
         """The response tables with the sensor at each physical position in
         ``x_stars``, in order.  Raises DomainError if any lies outside the
@@ -459,6 +472,7 @@ class RodTables:
                 for geom, (theta, phi) in zip(geoms, histories)]
 
 
+@_quiet_overflow
 def rod_tables(geom: Geometry, mesh: MeasurementMesh, n_x: int, n_t: int,
                trunc: TruncationPolicy = DEFAULT_TRUNCATION) -> RodTables:
     """Build the sensor-independent layer of the response tables, on

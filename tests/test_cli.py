@@ -4,6 +4,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,8 @@ from heatsource.cli import (EXIT_DIVERGED, EXIT_ERROR, EXIT_INVALID_CONFIG,
                             ConfigParseError, ConfigValueError, RunConfig,
                             config_echo, dispatch, main, parse_config,
                             parse_config_text)
-from heatsource.errors import DivergenceError, HeatSourceError
+from heatsource.errors import DivergenceError, DomainError, HeatSourceError
+from heatsource.harness import get_case
 
 
 def read_summary(path):
@@ -108,6 +110,14 @@ class TestParseConfig:
             parse_config_text("command=invert\ncase=nope\n")
         with pytest.raises(ConfigValueError, match="command"):
             parse_config_text("command=paint\n")
+
+    def test_unknown_case_prints_its_message_unquoted(self, tmp_path,
+                                                      capsys):
+        assert main(["invert", "--case", "nope", "--outdir",
+                     str(tmp_path)]) == EXIT_INVALID_CONFIG
+        assert capsys.readouterr().err == (
+            "error: unknown case 'nope'; available: "
+            "['example1', 'polynomial']\n")
 
     def test_x_star_must_sit_inside_domain(self):
         with pytest.raises(ConfigValueError, match="x_star"):
@@ -456,6 +466,41 @@ class TestMain:
         assert main(argv + small) == EXIT_OK
         assert "Traceback" not in capsys.readouterr().err
 
+
+def _rod_ends(case_name):
+    # Each rod end is outside; one ulp in from it is inside.
+    geom = get_case(case_name).geometry
+    lo, hi = geom.offset, geom.offset + geom.length
+    return [(lo, False), (np.nextafter(lo, np.inf), True),
+            (np.nextafter(hi, -np.inf), True), (hi, False)]
+
+
+@pytest.mark.parametrize("case_name, x, inside", [
+    (case_name, x, inside) for case_name in ("example1", "polynomial")
+    for x, inside in _rod_ends(case_name)])
+def test_every_sensor_check_follows_the_rod_interior(case_name, x, inside):
+    # The geometry, the x_star key and the sweep_xstar key reject a sensor
+    # exactly where Geometry.contains is false.
+    geom = get_case(case_name).geometry
+    x = float(x)
+    assert geom.contains(x) == inside
+    checks = [
+        (lambda: geom.with_sensor(x), DomainError),
+        (lambda: parse_config_text(
+            f"command=invert\ncase={case_name}\nx_star={x!r}"),
+         ConfigValueError),
+        (lambda: parse_config_text(
+            f"command=sweep\ncase={case_name}\nsweep_xstar={x!r}"),
+         ConfigValueError),
+    ]
+    for check, error in checks:
+        if inside:
+            check()
+        else:
+            with pytest.raises(error, match="strictly inside"):
+                check()
+
+
 _KEYS = [f.name for f in fields(RunConfig)] + ["bogus", ""]
 _VALUES = st.one_of(
     st.text(max_size=12),
@@ -555,3 +600,4 @@ def test_console_exit_status(tmp_path, args, code):
     assert proc.returncode == code, proc.stderr
     assert ("error:" in proc.stderr) == (code != EXIT_OK)
     assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr

@@ -366,8 +366,7 @@ class TestRodTables:
         with pytest.raises(DomainError):
             rod.at_sensors([geom.sensor, geom.offset - 0.1])
 
-    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value",
-                                "ignore::heatsource.errors.TruncationWarning")
+    @pytest.mark.filterwarnings("ignore::heatsource.errors.TruncationWarning")
     @pytest.mark.parametrize("length, last_finite", [(L, 157), (2.0, 196)])
     def test_final_tables_that_are_not_finite_raise(self, length,
                                                     last_finite):
@@ -386,8 +385,7 @@ class TestRodTables:
                                  "finite"):
             rod_tables(rod_geom, small, last_finite + 1, 2, TR)
 
-    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value",
-                                "ignore::heatsource.errors.TruncationWarning")
+    @pytest.mark.filterwarnings("ignore::heatsource.errors.TruncationWarning")
     def test_history_tables_that_are_not_finite_raise(self, geom):
         # At n_t = 360 the final-time phi tables of example1 are finite but
         # its sensor histories are not.
