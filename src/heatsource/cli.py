@@ -116,66 +116,75 @@ class RunConfig:
         """The sweep grid in run order.  Every entry is parsed and checked
         like the single-run key it stands for; a bad one raises
         ConfigValueError.  Blank entries are skipped."""
-        def entries(raw):
-            return [part.strip() for part in raw.split(",") if part.strip()]
+        def entries(key):
+            whole = getattr(self, key)
+            return [(part.strip(), _entry_label(key, part, whole))
+                    for part in whole.split(",") if part.strip()]
 
         sizes = []
-        for pair in entries(self.sweep_n):
+        for pair, label in entries("sweep_n"):
             left, sep, right = pair.partition("x")
             if not sep:
-                raise ConfigValueError(
-                    f"sweep_n entry {pair!r}: expected N_XxN_T like 12x9")
-            sizes.append((_parse_value("n_x", left, "sweep_n"),
-                          _parse_value("n_t", right, "sweep_n")))
-        x_stars = [_parse_float(raw, "sweep_xstar")
-                   for raw in entries(self.sweep_xstar)]
-        for x_star in x_stars:
-            _check_x_star(self.case, x_star, "sweep_xstar")
-        alphas = ([_parse_value("alpha", raw, "sweep_alpha")
-                   for raw in entries(self.sweep_alpha)]
+                raise ConfigValueError(f"{label}: expected N_XxN_T like 12x9")
+            sizes.append((_parse_value("n_x", left, label),
+                          _parse_value("n_t", right, label)))
+        x_stars = [(_parse_float(raw, "sweep_xstar", label), label)
+                   for raw, label in entries("sweep_xstar")]
+        for x_star, label in x_stars:
+            _check_x_star(self.case, x_star, label)
+        alphas = ([_parse_value("alpha", raw, label)
+                   for raw, label in entries("sweep_alpha")]
                   if self.sweep_alpha.strip() else [self.alpha])
         cells = [SweepCell(n_x=n_x, n_t=n_t, x_star=x_star, alpha=alpha)
-                 for n_x, n_t in sizes for x_star in x_stars
+                 for n_x, n_t in sizes for x_star, _ in x_stars
                  for alpha in alphas]
         if not cells:
             raise ConfigValueError("sweep grid is empty")
         return cells
 
 
-def _parse_int(raw, key):
+def _entry_label(key, entry, whole):
+    """How an error names an entry of a comma-separated value."""
+    return f"{key} entry {entry.strip()!r} in {whole.strip()!r}"
+
+
+# A parser's error messages start with ``label``, by default key='raw'.
+def _parse_int(raw, key, label=None):
     try:
         return int(raw)
     except ValueError:
-        raise ConfigValueError(f"{key}={raw!r}: expected an integer") from None
+        label = label or f"{key}={raw!r}"
+        raise ConfigValueError(f"{label}: expected an integer") from None
 
 
-def _parse_float(raw, key):
+def _parse_float(raw, key, label=None):
+    label = label or f"{key}={raw!r}"
     try:
         value = float(raw)
     except ValueError:
-        raise ConfigValueError(f"{key}={raw!r}: expected a number") from None
+        raise ConfigValueError(f"{label}: expected a number") from None
     if not math.isfinite(value):
-        raise ConfigValueError(f"{key}={raw!r}: expected a finite number")
+        raise ConfigValueError(f"{label}: expected a finite number")
     return value
 
 
-def _parse_optional_float(raw, key):
+def _parse_optional_float(raw, key, label=None):
     if raw.strip().lower() in ("", "none"):
         return None
-    return _parse_float(raw, key)
+    return _parse_float(raw, key, label)
 
 
-def _parse_floats(raw, key):
-    raw = raw.strip()
-    if not raw:
+def _parse_floats(raw, key, label=None):
+    if not raw.strip():
         return ()
-    return tuple(_parse_float(part, key) for part in raw.split(","))
+    return tuple(_parse_float(part, key, _entry_label(key, part, raw))
+                 for part in raw.split(","))
 
 
 # Each key's parser follows its RunConfig annotation (a string here, under
 # postponed evaluation of annotations).
 _PARSERS = {
-    "str": lambda raw, key: raw.strip(),
+    "str": lambda raw, key, label=None: raw.strip(),
     "int": _parse_int,
     "float": _parse_float,
     "float | None": _parse_optional_float,
@@ -186,25 +195,26 @@ _KNOWN_KEYS = ", ".join(["config (command line only)", *_FIELDS])
 _COMPARISONS = {">=": operator.ge, ">": operator.gt}
 
 
-def _parse_value(key, raw, source):
+def _parse_value(key, raw, label=None):
     """``raw`` parsed as a value of ``key`` and checked against the range
-    rule of its field, if it has one; ``source`` names the setting in error
-    messages."""
+    rule of its field, if it has one.  Error messages start with ``label``
+    (a sweep entry's), else with ``key=`` and the value."""
     field_ = _FIELDS[key]
-    value = _PARSERS[field_.type](str(raw), source)
+    value = _PARSERS[field_.type](str(raw), key, label)
     rule = field_.metadata.get("rule")
     if rule:
         comparison, bound = rule.split()[-2:]
         if not _COMPARISONS[comparison](value, float(bound)):
-            raise ConfigValueError(f"{source}={value}: {key} {rule}")
+            raise ConfigValueError(
+                f"{label or f'{key}={value}'}: {key} {rule}")
     return value
 
 
-def _check_x_star(case_name, x_star, source):
+def _check_x_star(case_name, x_star, label):
     geom = get_case(case_name).geometry
     if not geom.contains(x_star):
         raise ConfigValueError(
-            f"{source}={x_star}: must lie strictly inside "
+            f"{label}: must lie strictly inside "
             f"({geom.offset:g}, {geom.offset + geom.length:g}) "
             f"for case {case_name!r}")
 
@@ -273,7 +283,7 @@ def _build_config(raw_values: dict) -> RunConfig:
     if "command" not in raw_values:
         raise ConfigValueError(
             f"missing required key 'command' (one of {', '.join(COMMANDS)})")
-    values = {key: _parse_value(key, raw, key)
+    values = {key: _parse_value(key, raw)
               for key, raw in raw_values.items()}
 
     command = values["command"]
@@ -286,7 +296,8 @@ def _build_config(raw_values: dict) -> RunConfig:
     except KeyError as exc:
         raise ConfigValueError(exc.args[0]) from None
     if values.get("x_star") is not None:
-        _check_x_star(case_name, values["x_star"], "x_star")
+        _check_x_star(case_name, values["x_star"],
+                      f"x_star={values['x_star']}")
 
     # Defaults that depend on the command, the case or the environment.
     resolved = {"sweep_xstar": ",".join(map(repr, default_sensors(case)))}

@@ -226,7 +226,8 @@ def invert_case(case: ManufacturedCase, n_x: int, n_t: int,
                 i_x: int = 100, i_t: int = 100, noise_level: float = 0.0,
                 seed: int = 42,
                 tables: SensitivityTables | None = None,
-                meas: Measurements | None = None
+                meas: Measurements | None = None,
+                fit: tuple | None = None
                 ) -> InversionResult:
     """Generate data for the case, run the inversion, and score it.
 
@@ -235,7 +236,9 @@ def invert_case(case: ManufacturedCase, n_x: int, n_t: int,
     the default truncation policy; otherwise the solve builds them.
     ``meas``, when given, must be what :func:`generate_measurements` returns
     for this case on that mesh with ``noise_level`` and ``seed``; otherwise
-    it is generated here.
+    it is generated here.  ``fit``, when given, must be what
+    ``case.fit_params`` returns on that mesh with ``n_x`` and ``n_t``;
+    otherwise it is computed here.
     """
     geom = case.geometry
     mesh = MeasurementMesh.regular(geom, i_x, i_t)
@@ -244,7 +247,9 @@ def invert_case(case: ManufacturedCase, n_x: int, n_t: int,
     params, trace, report = solve(meas, geom, mesh, n_x, n_t, obj_cfg,
                                   solver_cfg, tables=tables)
     errors = rmse_report(case, params, mesh)
-    _, fit_f, fit_u0 = case.fit_params(mesh, n_x, n_t)
+    if fit is None:
+        fit = case.fit_params(mesh, n_x, n_t)
+    _, fit_f, fit_u0 = fit
     errors.iterations = report.iterations
     errors.final_cost = report.final_cost
     errors.status = report.status
@@ -292,11 +297,12 @@ def sweep(case: ManufacturedCase, cells, solver_cfg: SolverConfig,
           seed: int = 42):
     """Run one inversion per cell and return the reports in cell order.
 
-    Cells of one size share one sensor-independent table layer and one
-    history build for all their sensors, cells that differ only in alpha
-    share one set of response tables, and cells at one sensor share its
-    measurements.  Per-cell failures are
-    recorded in the report's status and do not stop the sweep.
+    Cells of one size share one sensor-independent table layer, one
+    history build for all their sensors and one polynomial fit of the
+    exact functions, cells that differ only in alpha share one set of
+    response tables, and cells at one sensor share its measurements.
+    Per-cell failures are recorded in the report's status and do not stop
+    the sweep.
     After the run, the sensor-position trend of the initial-profile error
     is checked per size and alpha over two or more sensors and logged (soft
     observation, never a failure).
@@ -304,6 +310,7 @@ def sweep(case: ManufacturedCase, cells, solver_cfg: SolverConfig,
     cells = list(cells)
     reports = []
     tables = {}  # (n_x, n_t) -> {x_star: SensitivityTables}
+    fits = {}  # (n_x, n_t) -> fit_params
     measurements = {}  # x_star -> Measurements
     for cell in cells:
         try:
@@ -322,12 +329,14 @@ def sweep(case: ManufacturedCase, cells, solver_cfg: SolverConfig,
                     if (c.n_x, c.n_t) == size and geom.contains(c.x_star)))
                 tables[size] = dict(zip(sensors, rod_tables(
                     geom, mesh, *size).at_sensors(sensors)))
+            if size not in fits:
+                fits[size] = cell_case.fit_params(mesh, *size)
             result = invert_case(
                 cell_case, cell.n_x, cell.n_t,
                 ObjectiveConfig(alpha=cell.alpha), solver_cfg,
                 i_x=i_x, i_t=i_t, noise_level=noise_level, seed=seed,
                 tables=tables[size][cell.x_star],
-                meas=measurements[cell.x_star])
+                meas=measurements[cell.x_star], fit=fits[size])
             reports.append(result.errors)
         except Exception as exc:  # per-cell isolation
             logger.warning("sweep cell %s failed: %s", cell, exc)

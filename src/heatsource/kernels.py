@@ -12,11 +12,14 @@ values are those of the plain formulas bit for bit:
 - the exp-moment series drops an entry once its next terms are below half
   an ulp of its sums and shrinking, since adding them rounds back to the
   same sums (see ``_exp_moment_series``);
-- the exp-moment recurrence starts from expm1(-a) = -1 without calling
-  expm1 where a >= 40, where expm1 rounds to exactly -1, and the decay
-  exp(-t*lam^2) of the initial-profile history is +0.0 without calling exp
-  where t*lam^2 >= 746, where exp underflows to exactly that
-  (``_apply_to_negated``);
+- the exp-moment recurrence starts each row from J_0 = fl(1/lam^2), as
+  -expm1(-a)/lam^2 rounds to that where a >= 40 (expm1 rounds to exactly
+  -1); the entries between the series switch and 40 are computed once per
+  grid, with its small-argument series (``exp_moment_small``), and put in
+  place, so a history layer runs expm1 once and its sensors never;
+- the decay exp(-t*lam^2) of the initial-profile history is +0.0 without
+  calling exp where t*lam^2 >= 746, where exp underflows to exactly that
+  (``_exp_negated``);
 - ``sin_modes`` takes the parity of the rounded argument r as
   r - 2*floor(r/2), exact for integral floats, instead of through int64.
 """
@@ -108,7 +111,7 @@ def mode_count(amplitude: float, t: float, length: float,
 # Elements per sin_modes block: its scratch is three (points, modes) arrays
 # of about this size however many points there are.  A block holds whole
 # rows, so few modes give tall blocks and little per-block overhead.
-# _apply_to_negated and exp_moment_small size their blocks the same way.
+# _exp_negated and exp_moment_small size their blocks the same way.
 _SIN_BLOCK = 1 << 15
 
 
@@ -240,61 +243,78 @@ def sine_moment(m: int, n: int, length: float) -> float:
 
 _SERIES_SWITCH_BASE = 30.0
 
-# Arguments from which func(-x) is known exactly without calling func:
-# expm1(-x) rounds to -1 once exp(-x) is below half an ulp of 1 (x > 37.43),
-# and exp(-x) to +0.0 below half the smallest subnormal (x > 745.14).
+# Arguments from which expm1(-x) and exp(-x) are known exactly: expm1(-x)
+# rounds to -1 once exp(-x) is below half an ulp of 1 (x > 37.43), and
+# exp(-x) to +0.0 below half the smallest subnormal (x > 745.14).
 _EXPM1_SATURATION = 40.0
 _EXP_UNDERFLOW = 746.0
 
 
-def _apply_to_negated(func, x: np.ndarray, bound: float, saturated: float):
-    """Overwrite the 2-d array x with func(-x), calling func only where
-    x < bound (or x is NaN) and writing ``saturated`` elsewhere, the value
-    func(-x) rounds to exactly for every x >= bound.  Works over blocks of
-    rows, so its scratch mask does not grow with x."""
+def _exp_negated(x: np.ndarray):
+    """Overwrite the 2-d array x with exp(-x), calling exp only where
+    x < _EXP_UNDERFLOW (or x is NaN) and writing +0.0 elsewhere, what
+    exp(-x) underflows to there.  Works over blocks of rows, so its scratch
+    mask does not grow with x."""
     step = max(1, _SIN_BLOCK // (x.shape[1] or 1))
     beyond = np.empty((min(step, x.shape[0]), x.shape[1]), dtype=bool)
     for start in range(0, x.shape[0], step):
         block = x[start:start + step]
         mask = beyond[:len(block)]
-        np.greater_equal(block, bound, out=mask)
+        np.greater_equal(block, _EXP_UNDERFLOW, out=mask)
         np.negative(block, out=block)
-        np.copyto(block, saturated, where=mask)
+        np.copyto(block, 0.0, where=mask)
         np.logical_not(mask, out=mask)
-        func(block, out=block, where=mask)
+        np.exp(block, out=block, where=mask)
 
 
 def exp_moment_small(max_power: int, lam_sq, t):
-    """The small-argument entries of :func:`exp_moment_rows` on the outer
-    (lam_sq, t) grid: their flat indices, ordered by a = lam_sq*t as the
-    series wants them, and their series values, shape (max_power + 1,
-    len(indices)).  Both arrays are read-only.
+    """What :func:`exp_moment_rows` needs of the outer (lam_sq, t) grid
+    beyond its rows' constants, as four read-only arrays:
+
+    - the flat indices of the small-argument entries, ordered by
+      a = lam_sq*t as the series wants them, and their series values,
+      shape (max_power + 1, len(indices));
+    - the flat indices, in row-major order, of the other entries with a
+      below 40 or NaN, where J_0 = -expm1(-a)/lam_sq need not be
+      fl(1/lam_sq), and their J_0 values.
 
     The grid is scanned in blocks of mode rows, so its scratch does not
-    grow with the grid.  The indices come out in the row-major order of
-    ``np.flatnonzero`` over the whole grid, so the sort permutes them as
+    grow with the grid.  The small indices come out in the row-major order
+    of ``np.flatnonzero`` over the whole grid, so the sort permutes them as
     it would there.
     """
     lam_sq = np.asarray(lam_sq, dtype=float)
     t = np.asarray(t, dtype=float)
     switch = max(_SERIES_SWITCH_BASE, 2.0 * max_power)
+    # From max(switch, 40) on J_0 is fl(1/lam_sq): expm1(-a) is exactly -1.
+    last = max(switch, _EXPM1_SATURATION)
     step = max(1, _SIN_BLOCK // (t.size or 1))
     found, values = [np.empty(0, dtype=np.intp)], [np.empty(0)]
     for start in range(0, lam_sq.size, step):
         a = np.multiply.outer(lam_sq[start:start + step], t).ravel()
-        idx = np.flatnonzero(a < switch)
+        mask = a >= last
+        idx = np.flatnonzero(np.logical_not(mask, out=mask))
         values.append(a.take(idx))
         found.append(idx + start * t.size)
-    a = np.concatenate(values)
-    order = a.argsort()
-    small = np.concatenate(found).take(order)
+    a, found = np.concatenate(values), np.concatenate(found)
+    below = a < switch
+    small_a = a[below]
+    order = small_a.argsort()
+    small = found[below].take(order)
     # Their times are t[small % len(t)], so the (modes, times) grid of t is
     # never materialised.
-    series = _exp_moment_series(max_power, a.take(order),
+    series = _exp_moment_series(max_power, small_a.take(order),
                                 t.take(small % t.size))
-    small.flags.writeable = False
-    series.flags.writeable = False
-    return small, series
+    np.logical_not(below, out=below)
+    starts = found[below]
+    j0 = np.negative(a[below])
+    np.expm1(j0, out=j0)
+    np.negative(j0, out=j0)
+    np.divide(j0, lam_sq.take(starts // t.size), out=j0)
+    memo = (small, series, starts, j0)
+    for array in memo:
+        array.flags.writeable = False
+    return memo
 
 
 def exp_moment_rows(max_power: int, lam_sq, t, small_series):
@@ -309,27 +329,29 @@ def exp_moment_rows(max_power: int, lam_sq, t, small_series):
     ``small_series`` is :func:`exp_moment_small` of the same arguments,
     which a caller may compute once for many calls.
 
-    The recurrence starts from J_0 = -expm1(-a)/lam_sq, and expm1 runs only
-    where a < 40: from there on expm1(-a) is exactly -1 (exp(-a) < 4.3e-18
-    is below half an ulp of 1), so writing -1 there gives the same bits.
+    The recurrence starts from J_0 = -expm1(-a)/lam_sq, which is
+    fl(1/lam_sq) wherever a >= 40: there expm1(-a) is exactly -1 (exp(-a)
+    < 4.3e-18 is below half an ulp of 1).  So each row starts from that
+    constant, and ``small_series`` supplies the other entries, with the
+    bits the formula gives.
 
     Every J_p is the same reused buffer: consume it before the next step.
     """
     lam_sq = np.asarray(lam_sq, dtype=float)
     t = np.asarray(t, dtype=float)
-    small, series = small_series
+    small, series, starts, start_values = small_series
     ls = lam_sq[:, None]
-    # The recurrence runs in place on the grid of a.  The small entries
-    # carry series values into the next step, which overwrites them again.
-    j = np.multiply.outer(lam_sq, t)
-    _apply_to_negated(np.expm1, j, _EXPM1_SATURATION, -1.0)
-    np.negative(j, out=j)
-    np.divide(j, ls, out=j)
+    # The recurrence runs in place on one grid.  The small entries carry
+    # series values into the next step, which overwrites them again.
+    j = np.empty((lam_sq.size, t.size))
+    np.copyto(j, 1.0 / ls)
+    np.put(j, starts, start_values)
     t_pow = np.ones_like(t)
     for p in range(max_power + 1):
         if p:
             t_pow = t_pow * t
-            np.multiply(j, p, out=j)
+            if p > 1:  # times 1 is exact
+                np.multiply(j, p, out=j)
             np.subtract(t_pow, j, out=j)
             np.divide(j, ls, out=j)
         np.put(j, small, series[p])

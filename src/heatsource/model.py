@@ -20,9 +20,8 @@ from . import kernels
 from .errors import DomainError, ShapeMismatchError
 from .kernels import (
     DEFAULT_TRUNCATION,
-    _EXP_UNDERFLOW,
     TruncationPolicy,
-    _apply_to_negated,
+    _exp_negated,
     _warn_truncated,
     exp_moment_rows,
     exp_moment_small,
@@ -235,7 +234,7 @@ def _theta_history(ts, length: float, n_theta: int, trunc: TruncationPolicy):
         # the modes ascend, whatever the order of the times; beyond, it
         # underflows to exactly +0.0.
         decay = np.multiply.outer(ts, lam * lam)
-        _apply_to_negated(np.exp, decay, _EXP_UNDERFLOW, 0.0)
+        _exp_negated(decay)
         # (2/L) * decay * sin per point, in one scratch shared by all points
         # but the last, which scales decay itself; each product is a fresh
         # table.
@@ -339,11 +338,12 @@ def phi_response_history(x: float, ts, length: float, n_phi: int,
 
 def _phi_history(ts, length: float, n_phi: int, trunc: TruncationPolicy):
     """The phi history as a function mapping a list of points x to their
-    tables.  The small-argument series of the exp moments depends on no
-    point, so it is computed here once and serves every call.  Each call
-    runs the exp-moment recurrence of the odd modes once and contracts
-    every J_p with all its points as it is produced, so the (n_phi, modes,
-    times) stack never exists."""
+    tables.  The exp moments' small-argument series and the start entries
+    of their recurrence (``exp_moment_small``) depend on no point, so they
+    are computed here once and serve every call.  Each call runs the
+    exp-moment recurrence of the odd modes once and contracts every J_p
+    with all its points as it is produced, so the (n_phi, modes, times)
+    stack never exists."""
     ts = _history_times(ts)
     modes = _phi_modes(n_phi, float(ts.min()), float(ts.max()), length, trunc)
     lam = (math.pi / length) * modes
@@ -438,10 +438,11 @@ class RodTables:
     and map a list of shifted sensor positions to their history tables.
     ``phi_history`` also holds the sorted flat indices and series values
     of the exp moments' small-argument entries (lam^2 t below the series
-    switch), computed once with the layer.  Each call streams the rest of
-    the time-by-mode work once for all its sensors, so the layer itself
-    holds no times-by-modes array.  ``at_sensors`` assembles the tables of
-    a list of sensors."""
+    switch) and the J_0 entries that are not their row's 1/lam^2 (lam^2 t
+    from the switch to 40), computed once with the layer.  Each call
+    streams the rest of the time-by-mode work once for all its sensors, so
+    the layer itself holds no times-by-modes array.  ``at_sensors``
+    assembles the tables of a list of sensors."""
 
     geom: Geometry
     mesh: MeasurementMesh

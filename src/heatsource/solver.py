@@ -16,6 +16,7 @@ coefficients' 4e5-7e13, and its iteration count follows that.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -164,10 +165,7 @@ def stationarity_check(params: PolyParams, meas: Measurements,
     Margins are normalized by (1 + |lhs| + |rhs|).
     """
     stacked, r = _stacked_residual(params, meas, cfg, tables)
-    # One row per trial, drawn as [phi | theta] in the per-trial order and
-    # reordered to the [theta | phi] layout of x.
-    trials = np.roll(np.random.default_rng(STATIONARITY_SEED).standard_normal(
-        (STATIONARITY_TRIALS, tables.n_t + tables.n_x)), tables.n_x, axis=1)
+    trials = _stationarity_trials(tables.n_x, tables.n_t)
     deltas = trials - np.concatenate([params.theta, params.phi])
     response = deltas @ stacked.T
     # Row blocks of M: final-time profile, sensor history, penalty.
@@ -185,6 +183,20 @@ def stationarity_check(params: PolyParams, meas: Measurements,
     return StationarityCheck(*worst)
 
 
+@functools.lru_cache(maxsize=16)
+def _stationarity_trials(n_x: int, n_t: int) -> np.ndarray:
+    """The audit's trials for n_x + n_t coefficients, one read-only row per
+    trial, drawn as [phi | theta] in the per-trial order and reordered to
+    the [theta | phi] layout of x.  Kept per size: every draw is the same."""
+    trials = np.roll(np.random.default_rng(STATIONARITY_SEED).standard_normal(
+        (STATIONARITY_TRIALS, n_t + n_x)), n_x, axis=1)
+    trials.flags.writeable = False
+    return trials
+
+
+# Typed: top = 3 and 3.0 give other bits from n = 35 on, as the integer
+# powers of 3 are exact and the float ones rounded.
+@functools.lru_cache(maxsize=16, typed=True)
 def legendre_map(n: int, top: float) -> np.ndarray:
     """Shifted-Legendre to monomial coefficients on ``[0, top]``.
 
@@ -192,9 +204,12 @@ def legendre_map(n: int, top: float) -> np.ndarray:
     Legendre polynomial mapped onto ``[0, top]``, so ``x = T y`` turns
     Legendre coefficients ``y`` into monomial ones:
     ``T[j, k] = (-1)^(k+j) C(k, j) C(k+j, j) / top^j`` for ``j <= k``.
+    Kept per ``(n, top)``; the array is read-only.
     """
-    return np.array([[(-1) ** (k + j) * math.comb(k, j) * math.comb(k + j, j)
-                      / top ** j for k in range(n)] for j in range(n)])
+    basis = np.array([[(-1) ** (k + j) * math.comb(k, j) * math.comb(k + j, j)
+                       / top ** j for k in range(n)] for j in range(n)])
+    basis.flags.writeable = False
+    return basis
 
 
 def solve(meas: Measurements, geom: Geometry, mesh: MeasurementMesh,

@@ -40,10 +40,14 @@ _RANGE_ERRORS = [
     ("seed=-1", "seed=-1: seed must be an integer >= 0"),
     ("i_x=0", "i_x=0: i_x must be an integer >= 1"),
     ("i_t=0", "i_t=0: i_t must be an integer >= 1"),
-    # a sweep entry is checked like the key it stands for
-    ("sweep_n=6x5,0x5", "sweep_n=0: n_x must be an integer >= 1"),
-    ("sweep_n=6x0", "sweep_n=0: n_t must be an integer >= 1"),
-    ("sweep_alpha=1e-6,-1", "sweep_alpha=-1.0: alpha must be >= 0"),
+    # a sweep entry is checked like the key it stands for, and named with
+    # the whole value
+    ("sweep_n=6x5,0x5",
+     "sweep_n entry '0x5' in '6x5,0x5': n_x must be an integer >= 1"),
+    ("sweep_n=6x0",
+     "sweep_n entry '6x0' in '6x0': n_t must be an integer >= 1"),
+    ("sweep_alpha=1e-6,-1",
+     "sweep_alpha entry '-1' in '1e-6,-1': alpha must be >= 0"),
 ]
 
 
@@ -446,6 +450,22 @@ class TestMain:
         listed = capsys.readouterr().out.partition("Keys:")[2]
         listed = set(listed.replace(",", " ").replace(".", " ").split())
         assert {"config"} | {f.name for f in fields(RunConfig)} <= listed
+
+    @pytest.mark.parametrize("argv, line", [
+        (["forward", "--phi", "1.0,,2.0"],
+         "error: phi entry '' in '1.0,,2.0': expected a number"),
+        (["forward", "--theta", "1,abc"],
+         "error: theta entry 'abc' in '1,abc': expected a number"),
+        (["sweep", "--sweep_xstar", "1,abc"],
+         "error: sweep_xstar entry 'abc' in '1,abc': expected a number"),
+        (["sweep", "--sweep_alpha", "1e-6, abc"],
+         "error: sweep_alpha entry 'abc' in '1e-6, abc': expected a number"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+    def test_bad_list_entry_is_named_with_its_value(self, tmp_path, capsys,
+                                                    argv, line):
+        assert main(argv + ["--outdir", str(tmp_path)]) \
+            == EXIT_INVALID_CONFIG
+        assert capsys.readouterr().err.splitlines() == [line]
 
     def test_help_token_after_a_flag_is_its_value(self, tmp_path, capsys):
         assert main(["invert", "--n_x", "-h", "--outdir",

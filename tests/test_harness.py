@@ -297,6 +297,35 @@ class TestSweep:
                                 seed=7).errors
             assert report.csv_row() == alone.csv_row(), cell
 
+    def test_cells_of_one_size_share_one_fit(self, example1, monkeypatch):
+        # The fit references depend on the size alone: a 2-size x 3-sensor
+        # sweep fits twice, not six times, and every row's fit residuals
+        # equal a fresh fit's.
+        from heatsource import harness
+
+        fitted = []
+        real_fit = harness.ManufacturedCase.fit_params
+
+        def counting_fit(case, mesh, n_x, n_t):
+            fitted.append((case.geometry.sensor, n_x, n_t))
+            return real_fit(case, mesh, n_x, n_t)
+
+        monkeypatch.setattr(harness.ManufacturedCase, "fit_params",
+                            counting_fit)
+        cells = [SweepCell(n_x=n_x, n_t=n_t, x_star=x, alpha=1e-6)
+                 for n_x, n_t in ((4, 3), (6, 5))
+                 for x in (-1.34, 0.99, 2.97)]
+        reports = sweep(example1, cells, SolverConfig(max_iters=30),
+                        i_x=25, i_t=25)
+        assert fitted == [(-1.34, 4, 3), (-1.34, 6, 5)]
+        monkeypatch.undo()
+        for cell, report in zip(cells, reports):
+            case = example1.with_sensor(cell.x_star)
+            mesh = MeasurementMesh.regular(case.geometry, 25, 25)
+            _, fit_f, fit_u0 = case.fit_params(mesh, cell.n_x, cell.n_t)
+            assert report.fit_residual_f == fit_f, cell
+            assert report.fit_residual_u0 == fit_u0, cell
+
     def test_sensors_of_one_size_share_one_layer(self, example1,
                                                  monkeypatch):
         # Per size, the layer computes the moment stack of the final profile

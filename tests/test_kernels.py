@@ -405,6 +405,31 @@ class TestSkippedWork:
                 np.multiply.outer(lam_sq, ts).ravel().tolist())
             self._assert_rows_equal_reference(max_power, lam_sq, ts)
 
+    @pytest.mark.parametrize("max_power", [0, 8, 19, 20, 25])
+    def test_row_start_around_the_switch_and_40(self, max_power):
+        # J_0 is fl(1/lam_sq) but at the listed entries (switch <= a < 40,
+        # or NaN).  Arguments at both bounds and one ulp either side, on
+        # rows scaled by powers of two (so each a is exact), with unsorted
+        # and repeated times: every J_p equals the reference bit for bit,
+        # signs, NaNs and layout included.  From max_power 21 on the
+        # switch is past 40 and only the NaN is listed.
+        switch = max(30.0, 2.0 * max_power)
+        a = [np.nextafter(v, d) if d else v for v in (switch, 40.0)
+             for d in (-np.inf, 0, np.inf)]
+        a = np.array(a + a[::-1] + [a[1], 100.0, a[4], 0.0, np.nan])
+        lam_sq = np.array([1.0, 4.0, 0.25])
+        ts = np.concatenate([a, a / 4.0, a * 4.0])
+        ref = exp_moment_stack_reference(max_power, lam_sq, ts)
+        memo = exp_moment_small(max_power, lam_sq, ts)
+        for p, moment in exp_moment_rows(max_power, lam_sq, ts, memo):
+            assert moment.flags.c_contiguous
+            assert moment.tobytes() == ref[p].tobytes(), (max_power, p)
+        stack = exp_moment_stack(max_power, lam_sq, ts)
+        assert stack.flags.c_contiguous and stack.tobytes() == ref.tobytes()
+        listed = np.multiply.outer(lam_sq, ts).ravel().take(memo[2])
+        assert np.isnan(listed).sum() == lam_sq.size * np.isnan(ts).sum()
+        assert (np.count_nonzero(~np.isnan(listed)) > 0) == (max_power < 20)
+
     @pytest.mark.parametrize("max_power", [0, 20])
     def test_random_arguments_with_extreme_powers(self, max_power):
         rng = np.random.default_rng(29)
@@ -450,7 +475,8 @@ class TestSkippedWork:
 class TestSmallEntries:
     """exp_moment_small scans the (lam_sq, t) grid in blocks of mode rows
     and returns what one scan of the whole grid gives: the same flat
-    indices in the same sorted order and the same series values, bit for
+    indices in the same sorted order and the same series values, and the
+    same J_0 entries off the row constants with the same values, bit for
     bit."""
 
     # The inputs of TestSkippedWork.test_zero_and_integer_arguments and of
@@ -466,21 +492,25 @@ class TestSmallEntries:
         from heatsource.kernels import _exp_moment_series
 
         a = np.multiply.outer(lam_sq, t)
-        small = np.flatnonzero(a < max(30.0, 2.0 * max_power))
+        below = a < max(30.0, 2.0 * max_power)
+        small = np.flatnonzero(below)
         small = small.take(a.take(small).argsort())
+        starts = np.flatnonzero(~(below | (a >= 40.0)))
+        j0 = (-np.expm1(-a) / lam_sq[:, None]).take(starts)
         if not small.size:
-            return small, np.empty((max_power + 1, 0))
-        return small, _exp_moment_series(max_power, a.take(small),
-                                          t.take(small % t.size))
+            return small, np.empty((max_power + 1, 0)), starts, j0
+        return (small, _exp_moment_series(max_power, a.take(small),
+                                          t.take(small % t.size)),
+                starts, j0)
 
     def _assert_equals_whole_grid(self, max_power, lam_sq, t):
-        small, series = exp_moment_small(max_power, lam_sq, t)
-        want_small, want_series = self._whole_grid(max_power, lam_sq, t)
-        assert small.dtype == want_small.dtype
-        assert np.array_equal(small, want_small), (max_power, t.size)
-        assert series.shape == want_series.shape
-        assert np.array_equal(series, want_series), (max_power, t.size)
-        return small
+        got = exp_moment_small(max_power, lam_sq, t)
+        want = self._whole_grid(max_power, lam_sq, t)
+        assert len(got) == len(want) == 4
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape, max_power
+            assert g.tobytes() == w.tobytes(), (max_power, t.size)
+        return got[0]
 
     @pytest.mark.parametrize("block", [1, 19, None])
     @pytest.mark.parametrize("max_power", [0, 8, 20])
@@ -507,6 +537,19 @@ class TestSmallEntries:
         small = self._assert_equals_whole_grid(max_power, lam_sq, ts)
         assert small.size == 0
 
+    @pytest.mark.parametrize("max_power", [0, 8, 19, 20, 25])
+    def test_start_entries_lie_between_the_switch_and_40(self, max_power):
+        # Below the switch the series takes over; from 40 on J_0 is the
+        # row constant.  A NaN argument is listed, as expm1 ran on it.
+        lam_sq = np.array([1.0, 0.25])
+        ts = np.array([29.0, 30.0, 38.0, 39.5, 40.0, 160.0, np.nan])
+        starts = exp_moment_small(max_power, lam_sq, ts)[2]
+        self._assert_equals_whole_grid(max_power, lam_sq, ts)
+        a = np.multiply.outer(lam_sq, ts).ravel().take(starts)
+        want = {0: [30.0, 38.0, 39.5], 8: [30.0, 38.0, 39.5],
+                19: [38.0, 39.5]}.get(max_power, [])
+        assert a[:-2].tolist() == want and np.isnan(a[-2:]).all()
+
     def test_small_entries_across_many_blocks(self):
         # example1's odd modes at 12x9 on 1000 time nodes: 340 modes in
         # blocks of 32 rows, with small entries in the first four.
@@ -520,8 +563,10 @@ class TestSmallEntries:
         assert np.unique(small // ts.size // step).size == 4
 
     def test_returned_arrays_are_read_only(self):
-        for lam_sq in (np.array([0.25, 2.25]), np.array([70.0])):
-            for array in exp_moment_small(4, lam_sq, np.array([0.5, 1.0])):
+        for lam_sq in (np.array([0.25, 2.25]), np.array([70.0, 36.0])):
+            memo = exp_moment_small(4, lam_sq, np.array([0.5, 1.0]))
+            assert len(memo) == 4
+            for array in memo:
                 assert not array.flags.writeable
 
 

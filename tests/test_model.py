@@ -547,9 +547,10 @@ class TestKeptLayers:
 
     def test_history_series_is_read_only_and_reused(self, geom, mesh,
                                                     monkeypatch):
-        # The phi history passes one read-only series pair to every call,
-        # and no J_p buffer of the recurrence shares its memory, so two
-        # back-to-back calls return the same bits.
+        # The phi history passes one read-only memo (the series entries and
+        # the J_0 entries off the row constants) to every call, and no J_p
+        # buffer of the recurrence shares its memory, so two back-to-back
+        # calls return the same bits.
         from heatsource import model
 
         seen = []
@@ -570,11 +571,37 @@ class TestKeptLayers:
         assert np.array_equal(first, second)
         assert np.array_equal(np.signbit(first), np.signbit(second))
         assert len(seen) == 2 and seen[0] is seen[1]
-        small, series = seen[0]
+        small, series, starts, start_values = seen[0]
         assert small.size and series.shape == (9, small.size)
-        for array in (small, series):
+        assert starts.size and start_values.shape == starts.shape
+        for array in seen[0]:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
+
+    def test_kept_history_runs_no_expm1(self, cold_table_memo, geom, mesh,
+                                        monkeypatch):
+        # The layer's build takes expm1 on its J_0 entries below 40 once;
+        # a history call after it starts every row from the memo and
+        # takes none, and its tables equal a fresh layer's bit for bit.
+        calls = []
+        real_expm1 = np.expm1
+
+        def counting_expm1(*args, **kwargs):
+            calls.append(np.size(args[0]))
+            return real_expm1(*args, **kwargs)
+
+        monkeypatch.setattr(np, "expm1", counting_expm1)
+        rod = rod_tables(geom, mesh, 12, 9, TR)
+        assert calls  # the final profile's stack and the history's memo
+        calls.clear()
+        x = geom.sensor_shifted
+        [table] = rod.phi_history([x])
+        [tables] = rod.at_sensors([geom.sensor])
+        assert calls == []
+        monkeypatch.undo()
+        [fresh] = rod_tables(geom, mesh, 12, 9, TR).phi_history([x])
+        assert table.tobytes() == fresh.tobytes()
+        assert tables.sensor_phi.tobytes() == fresh.tobytes()
 
 
 class TestStreamedHistory:

@@ -73,6 +73,18 @@ class TestLegendreMap:
             bound = 2 * n * np.finfo(float).eps * terms
             assert np.all(np.abs(got - want) <= bound), (k, top)
 
+    def test_basis_is_kept_per_size_and_top_and_read_only(self):
+        # One array serves every solve of a size; an integral top keeps
+        # its own entry, as its exact powers divide to other bits from
+        # n = 35 on (3^34 > 2^53).
+        first = legendre_map(12, 2.0)
+        assert legendre_map(12, 2.0) is first
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0] = 2.0
+        exact, rounded = legendre_map(40, 3), legendre_map(40, 3.0)
+        assert exact is not rounded and legendre_map(40, 3) is exact
+        assert not np.array_equal(exact, rounded)
+
     def test_stacked_system_is_well_conditioned(self):
         # cond(M T) on the 100x100 mesh at alpha 1e-6: 3.6e3-1.2e4 on the
         # ten default cells and 1.6e3 / 3.6e3 on the polynomial case at
@@ -534,6 +546,25 @@ class TestStationarityCheck:
             SolverConfig(epsilon=1e-12, max_iters=12_000), tables=tables)
         assert report.stationarity.holds_mixed
         assert report.stationarity.holds_symmetric
+
+    def test_trials_are_drawn_once_per_size(self, example_problem):
+        # Every audit of one size reads one read-only draw, the rows of the
+        # per-trial order (phi before theta) in the [theta | phi] layout.
+        from heatsource import solver
+
+        _, _, tables, meas = example_problem
+        cfg = ObjectiveConfig(alpha=1e-6)
+        first = solver._stationarity_trials(tables.n_x, tables.n_t)
+        check = stationarity_check(PolyParams.zeros(6, 5), meas, cfg, tables)
+        assert solver._stationarity_trials(tables.n_x, tables.n_t) is first
+        assert check == stationarity_check(PolyParams.zeros(6, 5), meas, cfg,
+                                           tables)
+        rng = np.random.default_rng(solver.STATIONARITY_SEED)
+        for row in first:
+            assert np.array_equal(row[6:], rng.standard_normal(5))
+            assert np.array_equal(row[:6], rng.standard_normal(6))
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0] = 0.0
 
     def test_violated_far_from_minimizer(self, example_problem):
         # Far from the minimizer the first-order condition must fail for
