@@ -259,34 +259,59 @@ def _bump2(x, length):
     return x * (length - x) * (length * length + length * x - x * x) / 24.0
 
 
+def _bump3(x, length):
+    # Closed form of (4/L) sum_odd sin(lam x)/lam^7 (-w3'' = _bump2, zero ends).
+    l2 = length * length
+    return x * (length - x) * (
+        3.0 * l2 * l2 + 3.0 * l2 * length * x - 2.0 * l2 * x * x
+        - 2.0 * length * x ** 3 + x ** 4) / 720.0
+
+
 def _phi_modes(n_phi: int, t_min: float, t_max: float, length: float,
                trunc: TruncationPolicy) -> np.ndarray:
     """Odd modes for the source-response series.
 
-    The moment factors split per mode into an algebraic part (decaying only
-    like powers of 1/lam) and an exponentially damped part.  The mode count
-    covers the damped part at the earliest time and pushes the first
-    *neglected* algebraic tail (1/lam^7 and beyond; the two slower tails get
-    closed-form corrections) below trunc.tol at the latest time.
+    The moment factors split per mode into an algebraic part, a series in
+    powers of 1/lam^2, and an exponentially damped part.  The three
+    slowest algebraic tails (1/lam^3, 1/lam^5, 1/lam^7) are summed over
+    all modes in closed form (``_phi_tails``), so the mode count is set by
+    the first neglected mode's damped term at the earliest time, or by the
+    first *neglected* algebraic tail (1/lam^9 and beyond) at the latest
+    time where that needs more modes; each stays below trunc.tol.
     """
     lam1 = math.pi / length
-    # Damped part: |term| <= (4/L) (k-1)! exp(-lam^2 t) / lam^(2k+1).
-    log_amp = max(
-        math.log(4.0 / length) + math.lgamma(k) - (2 * k + 1) * math.log(lam1)
-        for k in range(1, n_phi + 1)
-    )
-    n = mode_count(math.exp(min(log_amp, 700.0)), t_min, length, trunc)
-    n = max(n, 31)
+    log_tol = math.log(trunc.tol)
+
+    def damped_above_tol(m):
+        # Damped part of mode m: |term| <= (4/L) (k-1)! exp(-lam^2 t) /
+        # lam^(2k+1), which falls as m grows.
+        lam = lam1 * m
+        return max(math.lgamma(k) - (2 * k + 1) * math.log(lam)
+                   for k in range(1, n_phi + 1)) \
+            + math.log(4.0 / length) - lam * lam * t_min > log_tol
+
+    # The last mode whose damped term exceeds tol (0: none), by doubling
+    # and bisection: mode lo is above tol, mode hi is not.
+    lo, hi = 0, 1
+    while damped_above_tol(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if damped_above_tol(mid):
+            lo = mid
+        else:
+            hi = mid
+    n = max(lo, 31)
     try:
-        c2 = max(
-            ((k - 1) * (k - 2) * t_max ** (k - 3)
-             for k in range(3, n_phi + 1)),
+        c3 = max(
+            ((k - 1) * (k - 2) * (k - 3) * t_max ** (k - 4)
+             for k in range(4, n_phi + 1)),
             default=0.0,
         )
-        if c2 > 0.0:
-            bound = trunc.tol / (4.0 * c2)
-            tail_coef = (4.0 / length) * (length / math.pi) ** 7 / 12.0
-            n = max(n, math.ceil((tail_coef / bound) ** (1.0 / 6.0)))
+        if c3 > 0.0:
+            bound = trunc.tol / (4.0 * c3)
+            tail_coef = (4.0 / length) * (length / math.pi) ** 9 / 16.0
+            n = max(n, math.ceil((tail_coef / bound) ** (1.0 / 8.0)))
     except (OverflowError, ZeroDivisionError):
         raise DomainError(f"{n_phi} source coefficients at t={t_max:g}: the "
                           "moment tail bound overflows") from None
@@ -300,14 +325,46 @@ def _phi_modes(n_phi: int, t_min: float, t_max: float, length: float,
     return np.arange(1, n + 1, 2, dtype=float)
 
 
-def _phi_assemble(head: np.ndarray, ts, d0, d1, n_phi: int) -> np.ndarray:
-    """head[:, k-1] + t^(k-1) d0 - (k-1) t^(k-2) d1 column by column,
-    added to ``head`` in place."""
+def _phi_tails(xs, sx, lam, length: float) -> np.ndarray:
+    """The tails d_j = w_j(x) - sum_n sx_n / lam_n^(2j+1), j = 1, 2, 3, of
+    the algebraic series past the kept modes, shape (3, len(xs)): rows of
+    ``sx`` hold (4/L) sin(lam x) at ``xs`` for the odd modes from 1 on,
+    and w_j are ``_bump``, ``_bump2`` and ``_bump3``.
+
+    ``_phi_assemble`` multiplies d2's rounding by (k-1)(k-2) t^(k-3),
+    3.6e3 at 12x9 on example1, where w_3 and its first mode (lam_1 = 0.5)
+    are both about 49: in double, their few ulps moved the tables by 5e-12
+    of their column.  So the closed forms minus the first mode are taken
+    in ``np.longdouble`` (where that is double, these digits are lost),
+    the sine folded onto [0, L/2] to keep exact zeros at the rod ends.
+    The other modes, weighing 1/3^7 and less, are summed in double per
+    point without BLAS, so a point gets the same bits alone as in any
+    batch."""
+    rest = np.einsum("sn,jn->js", sx[:, 1:],
+                     lam[1:] ** -np.array([[3.0], [5.0], [7.0]]))
+    x = np.asarray(xs, dtype=np.longdouble)
+    rod = np.longdouble(length)
+    lam1 = np.longdouble("3.14159265358979323846264338327950288") / rod
+    u = x / rod
+    first = 4.0 / rod / lam1 * np.sin(lam1 * rod * np.minimum(u, 1.0 - u))
+    for j, closed in enumerate((_bump, _bump2, _bump3)):
+        rest[j] = closed(x, rod) - first / lam1 ** (2 * j + 2) - rest[j]
+    return rest
+
+
+def _phi_assemble(head: np.ndarray, ts, tails, n_phi: int) -> np.ndarray:
+    """head[:, k-1] + t^(k-1) d0 - (k-1) t^(k-2) d1 + (k-1)(k-2) t^(k-3) d2
+    column by column, added to ``head`` in place: the closed-form tails
+    ``(d0, d1, d2)`` of ``_phi_tails`` times the algebraic coefficients of
+    the moment t^(k-1)."""
+    d0, d1, d2 = tails
     head[:, 0] += d0
-    t_pow = np.ones_like(ts)  # t^(k-2) for the current k
+    # t^(k-3) and t^(k-2) for the current k; the d2 term vanishes at k = 2
+    t_low, t_pow = np.zeros_like(ts), np.ones_like(ts)
     for k in range(2, n_phi + 1):
-        head[:, k - 1] += t_pow * (ts * d0 - (k - 1) * d1)
-        t_pow = t_pow * ts
+        head[:, k - 1] += (t_pow * (ts * d0 - (k - 1) * d1)
+                           + (k - 1) * (k - 2) * t_low * d2)
+        t_low, t_pow = t_pow, t_pow * ts
     return head
 
 
@@ -324,9 +381,8 @@ def phi_response_profile(xs, t: float, length: float, n_phi: int,
     sx = sin_modes(xs, length, modes)
     np.multiply(4.0 / length, sx, out=sx)
     head = sx @ (stack / lam).T
-    d0 = _bump(xs, length) - sx @ (1.0 / lam**3)
-    d1 = _bump2(xs, length) - sx @ (1.0 / lam**5)
-    return _phi_assemble(head, np.full(xs.shape, t), d0, d1, n_phi)
+    return _phi_assemble(head, np.full(xs.shape, t),
+                         _phi_tails(xs, sx, lam, length), n_phi)
 
 
 def phi_response_history(x: float, ts, length: float, n_phi: int,
@@ -361,13 +417,9 @@ def _phi_history(ts, length: float, n_phi: int, trunc: TruncationPolicy):
             rows = np.einsum("sn,nj->sj", weights, moment)
             for head, row in zip(heads, rows):
                 head[:, p] = 4.0 / length * row
-        tables = []
-        for x, s, head in zip(xs, sx, heads):
-            d0 = _bump(x, length) - 4.0 / length * np.dot(s, 1.0 / lam**3)
-            d1 = _bump2(x, length) - 4.0 / length * np.dot(s, 1.0 / lam**5)
-            tables.append(_phi_assemble(head, ts, float(d0), float(d1),
-                                        n_phi))
-        return tables
+        tails = _phi_tails(xs, 4.0 / length * sx, lam, length)
+        return [_phi_assemble(head, ts, point_tails, n_phi)
+                for head, point_tails in zip(heads, tails.T)]
     return at
 
 

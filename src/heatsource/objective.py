@@ -22,6 +22,7 @@ __all__ = [
     "ObjectiveConfig",
     "cost",
     "cost_floor",
+    "exact_residual",
     "gradient",
     "ridge_solve",
     "stacked_system",
@@ -77,9 +78,27 @@ def residuals(params: PolyParams, meas: Measurements,
 
 def cost(params: PolyParams, meas: Measurements, cfg: ObjectiveConfig,
          tables: SensitivityTables) -> float:
-    """Value of the regularized objective at the given coefficients."""
-    _, r = _stacked_residual(params, meas, cfg, tables)
+    """Value of the regularized objective at the given coefficients, from
+    ``exact_residual``."""
+    stacked, rhs = stacked_system(meas, cfg, tables)
+    tables.check_params(params)
+    r = exact_residual(stacked, rhs, np.concatenate([params.theta,
+                                                     params.phi]))
     return float(r @ r)
+
+
+def exact_residual(stacked: np.ndarray, rhs: np.ndarray,
+                   x: np.ndarray) -> np.ndarray:
+    """``rhs - M x`` formed in extended precision (``np.longdouble``) and
+    rounded once to double.  In double the product rounds by about
+    ``eps |M| |x|`` per row, which for the monomial coefficients of a
+    12x9 minimiser moves the cost by up to 1e-8 of itself, either way;
+    rounded once, the residual is good to ``eps |r|`` where
+    ``np.longdouble`` carries 64 bits (on x86-64; where it is double, the
+    rounding is as before)."""
+    wide = np.longdouble
+    return (rhs.astype(wide) - stacked.astype(wide) @ x.astype(wide)
+            ).astype(float)
 
 
 def gradient(params: PolyParams, meas: Measurements, cfg: ObjectiveConfig,

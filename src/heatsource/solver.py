@@ -28,7 +28,7 @@ from .kernels import DEFAULT_TRUNCATION, TruncationPolicy
 from .model import (Geometry, MeasurementMesh, PolyParams, SensitivityTables,
                     sensitivity_tables)
 from .objective import (Measurements, ObjectiveConfig, _stacked_residual,
-                        cost_floor, stacked_system)
+                        cost_floor, exact_residual, stacked_system)
 
 __all__ = [
     "SolverConfig",
@@ -43,11 +43,17 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 # Stop when every entry of the true gradient is below this absolute level,
-# as at an exact start; noisy runs stop at the cost floor instead.  A
-# recurrence gradient below it is checked on the true residual first: from
-# a far start the drifted recurrence can settle above the floor with a tiny
-# gradient of its own.
+# as at an exact start; noisy runs stop at the cost floor instead.
 STAGNATION_GRAD_NORM = 1e-14
+
+# The recurrence counts as settled once its Legendre gradient norm is at
+# most this fraction of the true one it started from (at the start or the
+# last restart), and the true residual is checked: from a far start the
+# recurrence drifts from the true residual by the rounding of the start's
+# magnitude and can settle above the floor with a tiny gradient of its own.
+# About eps times cond(A) (1e4): below it a gradient is rounding.  Runs
+# from zero stop before their gradient falls below 1e-11 of its start.
+SETTLED_GRAD_RATIO = 1e-12
 
 # The stationarity audit draws STATIONARITY_TRIALS trials from this seed; a
 # margin at or above -STATIONARITY_SLACK counts as holding.
@@ -238,13 +244,15 @@ def solve(meas: Measurements, geom: Geometry, mesh: MeasurementMesh,
     When the recurrence cost drops below ``epsilon``, or to ``floor_tol``
     (the ``cost_floor`` minimum of ``A`` plus ``8 sqrt(floor) nu + nu^2``,
     the rounding of the cost near it, with ``nu = eps sqrt(m) |rhs|`` for
-    ``m`` rows), or when the recurrence gradient is below
-    ``STAGNATION_GRAD_NORM``, the solver recomputes the true residual
-    ``rhs - A y``.  A true cost below ``epsilon`` stops as "converged",
-    else one at most ``floor_tol`` stops as "floor" (``epsilon`` is
-    unreachable), else the iteration restarts along the true gradient.  A
-    reachable ``epsilon`` lies above ``floor_tol``, so the floor never
-    changes such runs.
+    ``m`` rows), or when the recurrence's ``|g_y|`` has fallen to
+    ``SETTLED_GRAD_RATIO`` times the true ``|g_y|`` it started from, the
+    solver recomputes the true residual ``rhs - A y``.  A true cost below
+    ``epsilon`` stops as "converged", else one at most ``floor_tol`` stops
+    as "floor" (``epsilon`` is unreachable), else the iteration restarts
+    along the true gradient, which the next settled test is relative to.
+    A true gradient with every entry below ``STAGNATION_GRAD_NORM``, as at
+    an exact start, stops as "stationary".  A reachable ``epsilon`` lies
+    above ``floor_tol``, so the floor never changes such runs.
 
     Non-finite cost or gradients raise DivergenceError with the trace
     attached; hitting max_iters returns the last iterate with status
@@ -277,6 +285,7 @@ def solve(meas: Measurements, geom: Geometry, mesh: MeasurementMesh,
     g = -2.0 * (r @ stacked)
     g_y = -2.0 * (r @ stacked_legendre)
     stalled = np.abs(g).max() < STAGNATION_GRAD_NORM
+    settled = SETTLED_GRAD_RATIO ** 2 * (g_y @ g_y)
     _record(trace, r @ r, g, n_x)
 
     status = "not_converged"
@@ -310,14 +319,14 @@ def solve(meas: Measurements, geom: Geometry, mesh: MeasurementMesh,
         gg_prev = gg
         g = -2.0 * (r @ stacked)
         g_y = -2.0 * (r @ stacked_legendre)
-        stalled = np.abs(g).max() < STAGNATION_GRAD_NORM
         current_cost = _record(trace, r @ r, g, n_x, gamma, beta)
         if (current_cost < solver_cfg.epsilon or current_cost <= floor_tol
-                or stalled):
+                or g_y @ g_y <= settled):
             r = rhs - stacked_legendre @ y
             g = -2.0 * (r @ stacked)
             g_y = -2.0 * (r @ stacked_legendre)
             stalled = np.abs(g).max() < STAGNATION_GRAD_NORM
+            settled = SETTLED_GRAD_RATIO ** 2 * (g_y @ g_y)
             true_cost = float(r @ r)
             if true_cost < solver_cfg.epsilon:
                 status = "converged"
@@ -331,7 +340,7 @@ def solve(meas: Measurements, geom: Geometry, mesh: MeasurementMesh,
         r = rhs - stacked_legendre @ y
         g = -2.0 * (r @ stacked)
     x = basis @ y
-    r_x = rhs - stacked @ x
+    r_x = exact_residual(stacked, rhs, x)
     params = PolyParams(phi=x[n_x:], theta=x[:n_x])
     report = ConvergenceReport(
         status=status,

@@ -80,6 +80,31 @@ class TestCost:
         with pytest.raises(ShapeMismatchError, match="u_star has"):
             bad.check_against(tables)
 
+    @pytest.mark.parametrize("alpha", [1e-8, 1e-6])
+    def test_cost_of_a_12x9_minimiser_matches_exact_arithmetic(
+            self, example_problem, alpha):
+        # Noiseless example1 data leave a small residual, and the double
+        # product M x (monomials of x up to 2 pi) rounds by eps |M| |x|
+        # per row: the cost so formed read 3.6e-10 and 3.6e-11 off
+        # (2.7e-9 and 7.5e-11 on earlier tables).  Formed in extended
+        # precision it reads 1.9e-13 and 7e-15 off.  Reference: mpmath at
+        # 40 digits on the same double inputs.
+        import mpmath as mp
+
+        _, _, tables, meas = example_problem
+        cfg = ObjectiveConfig(alpha=alpha)
+        params = ridge_solve(meas, cfg, tables)
+        stacked, rhs = stacked_system(meas, cfg, tables)
+        x = np.concatenate([params.theta, params.phi])
+        with mp.workdps(40):
+            want = mp.fsum(
+                (mp.mpf(b) - mp.fsum(mp.mpf(m) * mp.mpf(c)
+                                     for m, c in zip(row, x))) ** 2
+                for row, b in zip(stacked, rhs))
+        got = cost(params, meas, cfg, tables)
+        assert abs(got - float(want)) <= 1e-12 * float(want), (
+            got / float(want) - 1.0)
+
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
             ObjectiveConfig(alpha=-1e-9)
