@@ -29,7 +29,7 @@ from .harness import (DEFAULT_SIZES, ErrorReport, SweepCell, default_sensors,
                       sensitivity_demo_geometry, sweep)
 from .model import MeasurementMesh, PolyParams, sensitivity_tables
 from .objective import ObjectiveConfig
-from .output import OutputError, write_csv, write_key_values
+from .output import OutputError, write_key_values, write_tables
 from .solver import IterationTrace, SolverConfig
 
 __all__ = [
@@ -350,17 +350,14 @@ def _run_invert(cfg: RunConfig):
                          ObjectiveConfig(alpha=cfg.alpha),
                          _solver_config(cfg), i_x=cfg.i_x, i_t=cfg.i_t,
                          noise_level=cfg.noise_level, seed=cfg.seed)
-    outdir = Path(cfg.outdir)
-    write_csv(outdir / f"{cfg.run_id}_trace.csv", IterationTrace.HEADER,
-              result.trace.rows())
     source, initial = case.curves(result.params, result.mesh)
-    write_csv(outdir / f"{cfg.run_id}_source.csv",
-              ["t", "exact", "reconstructed"], source)
-    write_csv(outdir / f"{cfg.run_id}_initial.csv",
-              ["x", "exact", "reconstructed"], initial)
     rep = result.report
     stat = rep.stationarity
     return [
+        ("trace", IterationTrace.HEADER, result.trace.rows()),
+        ("source", ["t", "exact", "reconstructed"], source),
+        ("initial", ["x", "exact", "reconstructed"], initial),
+    ], [
         ("status", rep.status),
         ("converged", rep.converged),
         ("iterations", rep.iterations),
@@ -391,12 +388,12 @@ def _run_forward(cfg: RunConfig):
     params = PolyParams(phi=phi, theta=theta)
     tables = sensitivity_tables(geom, mesh, params.n_x, params.n_t)
     u_final, u_sensor = tables.predict(params)
-    outdir = Path(cfg.outdir)
-    write_csv(outdir / f"{cfg.run_id}_final_profile.csv", ["x", "u"],
-              np.column_stack([geom.to_physical(mesh.x_interior), u_final]))
-    write_csv(outdir / f"{cfg.run_id}_sensor_history.csv", ["t", "u"],
-              np.column_stack([mesh.t_interior, u_sensor]))
     return [
+        ("final_profile", ["x", "u"],
+         np.column_stack([geom.to_physical(mesh.x_interior), u_final])),
+        ("sensor_history", ["t", "u"],
+         np.column_stack([mesh.t_interior, u_sensor])),
+    ], [
         ("status", "ok"),
         ("max_abs_final", float(np.max(np.abs(u_final)))),
         ("max_abs_sensor", float(np.max(np.abs(u_sensor)))),
@@ -407,11 +404,11 @@ def _run_sweep(cfg: RunConfig):
     reports = sweep(_case_for(cfg), cfg.sweep_cells, _solver_config(cfg),
                     i_x=cfg.i_x, i_t=cfg.i_t, noise_level=cfg.noise_level,
                     seed=cfg.seed)
-    write_csv(Path(cfg.outdir) / f"{cfg.run_id}_sweep.csv",
-              ErrorReport.CSV_HEADER, (r.csv_row() for r in reports))
     converged = sum(1 for r in reports if r.status == "converged")
     reached = converged == len(reports)
     return [
+        ("sweep", ErrorReport.CSV_HEADER, (r.csv_row() for r in reports)),
+    ], [
         ("status", "ok" if reached else "partial"),
         ("cells", len(reports)),
         ("converged_cells", converged),
@@ -426,7 +423,7 @@ def _run_sensitivity(cfg: RunConfig):
     mesh = MeasurementMesh.regular(geom, cfg.i_x, cfg.i_t)
     paths = emit_sensitivity_data(geom, cfg.n_x, cfg.n_t, mesh, cfg.outdir,
                                   run_id=cfg.run_id)
-    return [
+    return [], [
         ("status", "ok"),
         ("files", ";".join(str(p) for p in paths)),
     ], f"wrote {len(paths)} sensitivity tables", True
@@ -444,12 +441,14 @@ COMMANDS = tuple(_RUNNERS)
 def dispatch(cfg: RunConfig) -> int:
     """Execute the configured command; returns the process exit code.
 
-    Each runner writes its CSV artifacts and returns (summary pairs, console
-    message, reached); the summary gets the config echo appended, and an
-    unreached run exits EXIT_NOT_CONVERGED."""
+    Each runner returns (CSV tables, summary pairs, console message,
+    reached); the tables are written with ``write_tables``, then the summary
+    with the config echo appended, and an unreached run exits
+    EXIT_NOT_CONVERGED."""
     try:
         Path(cfg.outdir).mkdir(parents=True, exist_ok=True)
-        pairs, message, reached = _RUNNERS[cfg.command](cfg)
+        tables, pairs, message, reached = _RUNNERS[cfg.command](cfg)
+        write_tables(cfg.outdir, cfg.run_id, tables)
         pairs.extend((f"config.{key}", value)
                      for key, value in config_echo(cfg))
         write_key_values(Path(cfg.outdir) / f"{cfg.run_id}_summary.txt",

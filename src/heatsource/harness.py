@@ -7,7 +7,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -15,7 +14,7 @@ from numpy.polynomial import polynomial as npoly
 from .model import (Geometry, MeasurementMesh, PolyParams,
                     SensitivityTables, rod_tables, sensitivity_tables)
 from .objective import Measurements, ObjectiveConfig
-from .output import write_csv
+from .output import write_tables
 from .solver import ConvergenceReport, IterationTrace, SolverConfig, solve
 
 __all__ = [
@@ -233,7 +232,8 @@ def invert_case(case: ManufacturedCase, n_x: int, n_t: int,
 
     ``tables``, when given, must have been built for this case's geometry
     on the regular ``i_x`` x ``i_t`` mesh with ``n_x`` and ``n_t`` under
-    the default truncation policy; otherwise the solve builds them.
+    the default truncation policy, and the run is scored on their mesh;
+    otherwise the solve builds them.
     ``meas``, when given, must be what :func:`generate_measurements` returns
     for this case on that mesh with ``noise_level`` and ``seed``; otherwise
     it is generated here.  ``fit``, when given, must be what
@@ -241,7 +241,8 @@ def invert_case(case: ManufacturedCase, n_x: int, n_t: int,
     otherwise it is computed here.
     """
     geom = case.geometry
-    mesh = MeasurementMesh.regular(geom, i_x, i_t)
+    mesh = (tables.mesh if tables is not None
+            else MeasurementMesh.regular(geom, i_x, i_t))
     if meas is None:
         meas = generate_measurements(case, mesh, noise_level, seed)
     params, trace, report = solve(meas, geom, mesh, n_x, n_t, obj_cfg,
@@ -379,20 +380,15 @@ def emit_sensitivity_data(geom: Geometry, n_x: int, n_t: int,
     """
     rod = rod_tables(geom, mesh, n_x, n_t)
     [tables] = rod.at_sensors([geom.sensor])
-    outdir = Path(outdir)
     ts = mesh.t_interior
     x_phys = geom.to_physical(mesh.x_nodes)
-    return [
-        write_csv(outdir / f"{run_id}_final_by_initial.csv",
-                  ["x"] + [f"m{m}" for m in range(1, n_x + 1)],
-                  np.column_stack([x_phys, rod.final_theta])),
-        write_csv(outdir / f"{run_id}_sensor_by_initial.csv",
-                  ["t"] + [f"m{m}" for m in range(1, n_x + 1)],
-                  np.column_stack([ts, tables.sensor_theta])),
-        write_csv(outdir / f"{run_id}_final_by_source.csv",
-                  ["x"] + [f"k{k}" for k in range(1, n_t + 1)],
-                  np.column_stack([x_phys, rod.final_phi])),
-        write_csv(outdir / f"{run_id}_sensor_by_source.csv",
-                  ["t"] + [f"k{k}" for k in range(1, n_t + 1)],
-                  np.column_stack([ts, tables.sensor_phi])),
-    ]
+    # A generator: each table is built just before it is written, so one
+    # is held at a time.
+    layout = (("final_by_initial", "x", x_phys, "m", rod.final_theta),
+              ("sensor_by_initial", "t", ts, "m", tables.sensor_theta),
+              ("final_by_source", "x", x_phys, "k", rod.final_phi),
+              ("sensor_by_source", "t", ts, "k", tables.sensor_phi))
+    return write_tables(outdir, run_id, (
+        (name, [axis] + [f"{key}{i}" for i in range(1, table.shape[1] + 1)],
+         np.column_stack([abscissa, table]))
+        for name, axis, abscissa, key, table in layout))

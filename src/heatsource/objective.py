@@ -92,10 +92,12 @@ def exact_residual(stacked: np.ndarray, rhs: np.ndarray,
     """``rhs - M x`` formed in extended precision (``np.longdouble``) and
     rounded once to double.  In double the product rounds by about
     ``eps |M| |x|`` per row, which for the monomial coefficients of a
-    12x9 minimiser moves the cost by up to 1e-8 of itself, either way;
-    rounded once, the residual is good to ``eps |r|`` where
-    ``np.longdouble`` carries 64 bits (on x86-64; where it is double, the
-    rounding is as before)."""
+    12x9 minimiser moves the cost by up to 1e-8 of itself, either way.
+    Where ``np.longdouble`` carries 64 bits (x86-64) row i is off by up to
+    about ``eps_ld sum_j |M_ij x_j|`` (``eps_ld`` = 2^-63) before the one
+    rounding adds ``eps |r_i|``; where it is double, the rounding is as
+    before.  That is not ``eps |r|``: the monomial terms of a row cancel
+    (by up to about 2e8 at 12x9), so the first term can be far larger."""
     wide = np.longdouble
     return (rhs.astype(wide) - stacked.astype(wide) @ x.astype(wide)
             ).astype(float)

@@ -172,6 +172,16 @@ def write_csv(path, header, rows) -> Path:
     return path
 
 
+def write_tables(outdir, run_id, tables) -> list:
+    """Write each ``(name, header, rows)`` of ``tables``, in order, as
+    ``<outdir>/<run_id>_<name>.csv`` with :func:`write_csv`; returns the
+    paths.  The tables are read one at a time, so a generator can build
+    each just before it is written."""
+    outdir = Path(outdir)
+    return [write_csv(outdir / f"{run_id}_{name}.csv", header, rows)
+            for name, header, rows in tables]
+
+
 def write_key_values(path, pairs) -> Path:
     """Write a flat key=value summary file."""
     path = Path(path)

@@ -279,16 +279,19 @@ class TestDispatch:
 
     def test_summary_is_written_once_by_dispatch(self, tmp_path, capsys,
                                                  monkeypatch):
-        # the runner returns its pairs, message and outcome; dispatch adds
-        # the config echo, prints the message and picks the exit code
+        # the runner returns its tables, pairs, message and outcome;
+        # dispatch writes the tables, adds the config echo, prints the
+        # message and picks the exit code
         def runner(cfg):
-            return [("status", "partial")], "half done", False
+            return ([("table", ["a"], [[1]])], [("status", "partial")],
+                    "half done", False)
 
         monkeypatch.setitem(cli._RUNNERS, "forward", runner)
         cfg = parse_config_text(
             f"command=forward\noutdir={tmp_path}\nrun_id=stub\n")
         assert dispatch(cfg) == EXIT_NOT_CONVERGED
         assert capsys.readouterr().out == "stub: half done\n"
+        assert (tmp_path / "stub_table.csv").read_text() == "a\n1\n"
         summary = read_summary(tmp_path / "stub_summary.txt")
         assert list(summary)[0] == "status"
         assert [k for k in summary if k.startswith("config.")] == [

@@ -12,7 +12,7 @@ from heatsource.harness import (CASES, SweepCell, default_sweep_cells,
                                 get_case, invert_case, rmse_report,
                                 sensitivity_demo_geometry, sweep)
 from heatsource.kernels import TruncationPolicy
-from heatsource.model import MeasurementMesh, PolyParams
+from heatsource.model import MeasurementMesh, PolyParams, sensitivity_tables
 from heatsource.objective import ObjectiveConfig
 from heatsource.solver import SolverConfig
 from oracles import rmse_reference
@@ -212,6 +212,17 @@ class TestInvertCase:
         assert rep.e_f > 0 and rep.e_u0 > 0
         assert rep.fit_residual_f > 0 and rep.fit_residual_u0 > 0
         assert len(result.trace) == result.report.iterations + 1
+
+    def test_scores_on_the_mesh_of_given_tables(self, example1):
+        # given tables, the run is scored on their mesh: a sweep builds
+        # no second regular mesh per cell
+        geom = example1.geometry
+        tables = sensitivity_tables(
+            geom, MeasurementMesh.regular(geom, 30, 30), 4, 3)
+        result = invert_case(example1, 4, 3, ObjectiveConfig(alpha=1e-6),
+                             SolverConfig(max_iters=20), i_x=30, i_t=30,
+                             tables=tables)
+        assert result.mesh is tables.mesh
 
 
 class TestSweep:

@@ -143,7 +143,7 @@ class TestWriteCsv:
         mesh = MeasurementMesh.regular(geom, 200, 200)
         fast = harness.emit_sensitivity_data(geom, 12, 9, mesh, tmp_path,
                                              "fast")
-        monkeypatch.setattr(harness, "write_csv", lambda path, header, rows:
+        monkeypatch.setattr(output, "write_csv", lambda path, header, rows:
                             write_csv(path, header, [list(r) for r in rows]))
         slow = harness.emit_sensitivity_data(geom, 12, 9, mesh, tmp_path,
                                              "slow")
@@ -208,3 +208,18 @@ class TestWriteCsv:
                          [(3, 0.5, "converged", True)])
         assert path.read_text().splitlines()[1] == \
             "3,5.000000000e-01,converged,true"
+
+    def test_write_tables_names_each_file_after_the_run(self, tmp_path):
+        # <outdir>/<run_id>_<name>.csv in order; each table is read only
+        # when its turn comes, so the caller can build it just before.
+        written = []
+
+        def tables():
+            for name in ("b", "a"):
+                written.append(sorted(p.name for p in tmp_path.iterdir()))
+                yield name, ["v"], np.ones((2, 1))
+
+        paths = output.write_tables(tmp_path, "run", tables())
+        assert paths == [tmp_path / "run_b.csv", tmp_path / "run_a.csv"]
+        assert written == [[], ["run_b.csv"]]
+        assert paths[1].read_text() == "v\n1.000000000e+00\n1.000000000e+00\n"
