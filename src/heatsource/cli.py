@@ -28,9 +28,9 @@ from .harness import (DEFAULT_SIZES, ErrorReport, SweepCell, default_sensors,
                       emit_sensitivity_data, get_case, invert_case,
                       sensitivity_demo_geometry, sweep)
 from .model import MeasurementMesh, PolyParams, sensitivity_tables
-from .objective import ObjectiveConfig
+from .objective import ObjectiveConfig, cost
 from .output import OutputError, write_key_values, write_tables
-from .solver import IterationTrace, SolverConfig
+from .solver import IterationTrace, SolverConfig, stationarity_check
 
 __all__ = [
     "RunConfig",
@@ -346,13 +346,14 @@ def _case_for(cfg: RunConfig):
 
 def _run_invert(cfg: RunConfig):
     case = _case_for(cfg)
-    result = invert_case(case, cfg.n_x, cfg.n_t,
-                         ObjectiveConfig(alpha=cfg.alpha),
+    obj_cfg = ObjectiveConfig(alpha=cfg.alpha)
+    result = invert_case(case, cfg.n_x, cfg.n_t, obj_cfg,
                          _solver_config(cfg), i_x=cfg.i_x, i_t=cfg.i_t,
                          noise_level=cfg.noise_level, seed=cfg.seed)
-    source, initial = case.curves(result.params, result.mesh)
+    source, initial = case.curves(result.params, result.tables.mesh)
     rep = result.report
-    stat = rep.stationarity
+    solved = (result.params, result.meas, obj_cfg, result.tables)
+    stat = stationarity_check(*solved)
     return [
         ("trace", IterationTrace.HEADER, result.trace.rows()),
         ("source", ["t", "exact", "reconstructed"], source),
@@ -373,7 +374,7 @@ def _run_invert(cfg: RunConfig):
         ("stationarity_worst_margin_mixed", stat.worst_margin_mixed),
         ("stationarity_worst_margin_symmetric", stat.worst_margin_symmetric),
         ("cost_floor", rep.cost_floor),
-        ("returned_cost", rep.returned_cost),
+        ("returned_cost", cost(*solved)),
     ], (f"{rep.status} after {rep.iterations} iterations, "
         f"cost {rep.final_cost:.6e}, E_F {result.errors.e_f:.6e}, "
         f"E_u0 {result.errors.e_u0:.6e}"), rep.converged

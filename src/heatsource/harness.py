@@ -211,13 +211,15 @@ def rmse_report(case: ManufacturedCase, params: PolyParams,
 
 @dataclass
 class InversionResult:
-    """Everything a single inversion produced."""
+    """Everything a single inversion produced, with the measurements and
+    response tables it solved (scored on ``tables.mesh``)."""
 
     params: PolyParams
     trace: IterationTrace
     report: ConvergenceReport
     errors: ErrorReport
-    mesh: MeasurementMesh
+    meas: Measurements
+    tables: SensitivityTables
 
 
 def invert_case(case: ManufacturedCase, n_x: int, n_t: int,
@@ -232,8 +234,8 @@ def invert_case(case: ManufacturedCase, n_x: int, n_t: int,
 
     ``tables``, when given, must have been built for this case's geometry
     on the regular ``i_x`` x ``i_t`` mesh with ``n_x`` and ``n_t`` under
-    the default truncation policy, and the run is scored on their mesh;
-    otherwise the solve builds them.
+    the default truncation policy; otherwise they are built here, after
+    the measurements.  The run is scored on their mesh.
     ``meas``, when given, must be what :func:`generate_measurements` returns
     for this case on that mesh with ``noise_level`` and ``seed``; otherwise
     it is generated here.  ``fit``, when given, must be what
@@ -245,6 +247,8 @@ def invert_case(case: ManufacturedCase, n_x: int, n_t: int,
             else MeasurementMesh.regular(geom, i_x, i_t))
     if meas is None:
         meas = generate_measurements(case, mesh, noise_level, seed)
+    if tables is None:
+        tables = sensitivity_tables(geom, mesh, n_x, n_t)
     params, trace, report = solve(meas, geom, mesh, n_x, n_t, obj_cfg,
                                   solver_cfg, tables=tables)
     errors = rmse_report(case, params, mesh)
@@ -258,7 +262,7 @@ def invert_case(case: ManufacturedCase, n_x: int, n_t: int,
     errors.fit_residual_f = fit_f
     errors.fit_residual_u0 = fit_u0
     return InversionResult(params=params, trace=trace, report=report,
-                           errors=errors, mesh=mesh)
+                           errors=errors, meas=meas, tables=tables)
 
 
 @dataclass(frozen=True)

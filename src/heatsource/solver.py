@@ -28,7 +28,7 @@ from .kernels import DEFAULT_TRUNCATION, TruncationPolicy
 from .model import (Geometry, MeasurementMesh, PolyParams, SensitivityTables,
                     sensitivity_tables)
 from .objective import (Measurements, ObjectiveConfig, _stacked_residual,
-                        cost_floor, exact_residual, stacked_system)
+                        cost_floor, stacked_system)
 
 __all__ = [
     "SolverConfig",
@@ -143,16 +143,17 @@ class StationarityCheck:
 
 @dataclass
 class ConvergenceReport:
-    """Outcome of a solve: status, final cost, and the stationarity audit."""
+    """Outcome of a solve: what the iteration decided.  The stationarity
+    audit and the objective at the returned monomial coefficients are
+    computed by their readers (``stationarity_check`` and
+    ``objective.cost``)."""
 
     status: str  # "converged" | "floor" | "not_converged" | "stationary"
     iterations: int
     final_cost: float
     grad_phi_norm: float
     grad_theta_norm: float
-    stationarity: StationarityCheck | None = None
     cost_floor: float = math.nan  # minimum of the objective
-    returned_cost: float = math.nan  # cost of the returned coefficients
 
     @property
     def converged(self) -> bool:
@@ -259,9 +260,9 @@ def solve(meas: Measurements, geom: Geometry, mesh: MeasurementMesh,
     "not_converged".  Every status returns the iterate the iteration ended
     on: exact steps never raise the cost, so no earlier iterate is better
     beyond rounding.  The report's cost and gradient norms come from the
-    true residual ``rhs - A y`` of the returned iterate.  Its
-    ``returned_cost`` is ``|rhs - M x|^2`` of the monomial image ``x = T y``
-    that is returned, which differs from it by the rounding of ``T``.
+    true residual ``rhs - A y`` of the returned iterate; ``objective.cost``
+    of the returned monomial image ``x = T y`` differs from that cost by
+    the rounding of ``T``.
     """
     if tables is None:
         tables = sensitivity_tables(geom, mesh, n_x, n_t, trunc)
@@ -340,7 +341,6 @@ def solve(meas: Measurements, geom: Geometry, mesh: MeasurementMesh,
         r = rhs - stacked_legendre @ y
         g = -2.0 * (r @ stacked)
     x = basis @ y
-    r_x = exact_residual(stacked, rhs, x)
     params = PolyParams(phi=x[n_x:], theta=x[:n_x])
     report = ConvergenceReport(
         status=status,
@@ -348,9 +348,7 @@ def solve(meas: Measurements, geom: Geometry, mesh: MeasurementMesh,
         final_cost=float(r @ r),
         grad_phi_norm=float(np.linalg.norm(g[n_x:])),
         grad_theta_norm=float(np.linalg.norm(g[:n_x])),
-        stationarity=stationarity_check(params, meas, obj_cfg, tables),
         cost_floor=floor,
-        returned_cost=float(r_x @ r_x),
     )
     return params, trace, report
 

@@ -222,7 +222,7 @@ class TestInvertCase:
         result = invert_case(example1, 4, 3, ObjectiveConfig(alpha=1e-6),
                              SolverConfig(max_iters=20), i_x=30, i_t=30,
                              tables=tables)
-        assert result.mesh is tables.mesh
+        assert result.tables is tables
 
 
 class TestSweep:
@@ -255,8 +255,10 @@ class TestSweep:
 
         monkeypatch.setattr(harness, "rod_tables", counting_build)
         monkeypatch.setattr(model.RodTables, "at_sensors", counting_contract)
-        monkeypatch.setattr(solver, "sensitivity_tables",
-                            lambda geom, *args: rebuilt.append(geom.sensor))
+        for module in (harness, solver):
+            monkeypatch.setattr(
+                module, "sensitivity_tables",
+                lambda geom, *args: rebuilt.append(geom.sensor))
         cells = [SweepCell(n_x=4, n_t=3, x_star=x, alpha=a)
                  for x in (-0.17, 2.97) for a in (1e-6, 1e-4, 1e-2)]
         cfg = SolverConfig(max_iters=50)

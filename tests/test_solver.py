@@ -579,6 +579,16 @@ class TestRoundingStability:
                                                   rel=1e-11)
 
 
+# Why the audit cannot reject far points at 12x9 (ROADMAP items 2 and 7).
+_FAR_AUDIT_AT_12X9 = (
+    "the trials are standard normal in monomial coefficients, and at 12x9 "
+    "their penalty term outweighs the data term (median |lhs| 1.5e12 "
+    "against |rhs| 1.2e9 at the zero start; 3.2e2 against 4.1e4 at 6x5): "
+    "the zero start, the minimiser plus 1 on theta[0] and twice the "
+    "minimiser (costs 35.7, 94.6, 35.7 against 1e-4) all read mixed "
+    "margins of +0.99, 'holds'")
+
+
 class TestStationarityCheck:
     def test_holds_at_direct_minimizer(self, example_problem):
         _, _, tables, meas = example_problem
@@ -594,11 +604,12 @@ class TestStationarityCheck:
         # report may legitimately record a violation.
         geom, mesh, tables, meas = example_problem
         cfg = ObjectiveConfig(alpha=1e-6)
-        params, _, report = solve(
+        params, _, _ = solve(
             meas, geom, mesh, 6, 5, cfg,
             SolverConfig(epsilon=1e-12, max_iters=12_000), tables=tables)
-        assert report.stationarity.holds_mixed
-        assert report.stationarity.holds_symmetric
+        check = stationarity_check(params, meas, cfg, tables)
+        assert check.holds_mixed
+        assert check.holds_symmetric
 
     def test_trials_are_drawn_once_per_size(self, example_problem):
         # Every audit of one size reads one read-only draw, the rows of the
@@ -619,14 +630,27 @@ class TestStationarityCheck:
         with pytest.raises(ValueError, match="read-only"):
             first[0, 0] = 0.0
 
-    def test_violated_far_from_minimizer(self, example_problem):
+    @pytest.mark.parametrize("n_x, n_t", [
+        pytest.param(6, 5, id="6x5"),
+        pytest.param(12, 9, id="12x9", marks=pytest.mark.xfail(
+            strict=True, reason=_FAR_AUDIT_AT_12X9)),
+    ])
+    def test_violated_far_from_minimizer(self, example_problem, n_x, n_t):
         # Far from the minimizer the first-order condition must fail for
         # some trials, otherwise the check would be vacuous.
-        _, _, tables, meas = example_problem
+        geom, mesh, _, meas = example_problem
+        tables = sensitivity_tables(geom, mesh, n_x, n_t, TR)
         cfg = ObjectiveConfig(alpha=1e-6)
-        bogus = PolyParams(phi=np.full(5, 50.0), theta=np.full(6, -40.0))
-        check = stationarity_check(bogus, meas, cfg, tables)
-        assert not (check.holds_mixed and check.holds_symmetric)
+        best = ridge_solve(meas, cfg, tables)
+        shifted = best.theta.copy()
+        shifted[0] += 1.0
+        for far in (PolyParams.zeros(n_x, n_t),
+                    PolyParams(phi=best.phi, theta=shifted),
+                    PolyParams(phi=2.0 * best.phi, theta=2.0 * best.theta),
+                    PolyParams(phi=np.full(n_t, 50.0),
+                               theta=np.full(n_x, -40.0))):
+            check = stationarity_check(far, meas, cfg, tables)
+            assert not (check.holds_mixed and check.holds_symmetric), far
 
 
 def _per_trial_stationarity(params, meas, cfg, tables, n_trials=20,
