@@ -29,7 +29,7 @@ from .harness import (DEFAULT_SIZES, ErrorReport, SweepCell, default_sensors,
                       sensitivity_demo_geometry, sweep)
 from .model import MeasurementMesh, PolyParams, sensitivity_tables
 from .objective import ObjectiveConfig, cost
-from .output import OutputError, write_key_values, write_tables
+from .output import write_key_values, write_tables
 from .solver import IterationTrace, SolverConfig, stationarity_check
 
 __all__ = [
@@ -52,8 +52,6 @@ __all__ = [
     "EXIT_DIVERGED",
     "EXIT_IO_FAILURE",
 ]
-
-logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -339,9 +337,7 @@ def _solver_config(cfg: RunConfig) -> SolverConfig:
 
 def _case_for(cfg: RunConfig):
     case = get_case(cfg.case)
-    if cfg.x_star is not None:
-        case = case.with_sensor(cfg.x_star)
-    return case
+    return case if cfg.x_star is None else case.with_sensor(cfg.x_star)
 
 
 def _run_invert(cfg: RunConfig):
@@ -381,12 +377,10 @@ def _run_invert(cfg: RunConfig):
 
 
 def _run_forward(cfg: RunConfig):
-    case = _case_for(cfg)
-    geom = case.geometry
+    geom = _case_for(cfg).geometry
     mesh = MeasurementMesh.regular(geom, cfg.i_x, cfg.i_t)
-    phi = np.asarray(cfg.phi if cfg.phi else np.zeros(cfg.n_t))
-    theta = np.asarray(cfg.theta if cfg.theta else np.zeros(cfg.n_x))
-    params = PolyParams(phi=phi, theta=theta)
+    params = PolyParams(phi=cfg.phi or np.zeros(cfg.n_t),
+                        theta=cfg.theta or np.zeros(cfg.n_x))
     tables = sensitivity_tables(geom, mesh, params.n_x, params.n_t)
     u_final, u_sensor = tables.predict(params)
     return [
@@ -417,10 +411,8 @@ def _run_sweep(cfg: RunConfig):
 
 
 def _run_sensitivity(cfg: RunConfig):
-    if cfg.case == "example1" and cfg.x_star is None:
-        geom = sensitivity_demo_geometry()
-    else:
-        geom = _case_for(cfg).geometry
+    demo = cfg.case == "example1" and cfg.x_star is None
+    geom = sensitivity_demo_geometry() if demo else _case_for(cfg).geometry
     mesh = MeasurementMesh.regular(geom, cfg.i_x, cfg.i_t)
     paths = emit_sensitivity_data(geom, cfg.n_x, cfg.n_t, mesh, cfg.outdir,
                                   run_id=cfg.run_id)
@@ -439,27 +431,42 @@ _RUNNERS = {
 COMMANDS = tuple(_RUNNERS)
 
 
+# How a failed run exits: the first entry its exception is an instance of
+# gives the exit code and the text of its one "error:" line.  A size or
+# level the model cannot represent, and a run whose arithmetic overflows a
+# float, are bad settings too.
+_RUN_FAILURES = {
+    DivergenceError: (EXIT_DIVERGED, "iteration diverged: {}"),
+    OSError: (EXIT_IO_FAILURE, "{}"),  # output.OutputError included
+    DomainError: (EXIT_INVALID_CONFIG, "{}"),
+    FloatingPointError: (EXIT_INVALID_CONFIG, "run overflows a float ({})"),
+    HeatSourceError: (EXIT_ERROR, "{}"),
+}
+
+
 def dispatch(cfg: RunConfig) -> int:
     """Execute the configured command; returns the process exit code.
 
     Each runner returns (CSV tables, summary pairs, console message,
     reached); the tables are written with ``write_tables``, then the summary
     with the config echo appended, and an unreached run exits
-    EXIT_NOT_CONVERGED."""
+    EXIT_NOT_CONVERGED.  A failure exits by ``_RUN_FAILURES``; the run
+    raises FloatingPointError where numpy would warn of an overflow or an
+    invalid value."""
     try:
-        Path(cfg.outdir).mkdir(parents=True, exist_ok=True)
-        tables, pairs, message, reached = _RUNNERS[cfg.command](cfg)
-        write_tables(cfg.outdir, cfg.run_id, tables)
-        pairs.extend((f"config.{key}", value)
-                     for key, value in config_echo(cfg))
-        write_key_values(Path(cfg.outdir) / f"{cfg.run_id}_summary.txt",
-                         pairs)
-    except DivergenceError as exc:
-        logger.error("iteration diverged: %s", exc)
-        return EXIT_DIVERGED
-    except (OutputError, OSError) as exc:
-        logger.error("%s", exc)
-        return EXIT_IO_FAILURE
+        with np.errstate(over="raise", invalid="raise"):
+            Path(cfg.outdir).mkdir(parents=True, exist_ok=True)
+            tables, pairs, message, reached = _RUNNERS[cfg.command](cfg)
+            write_tables(cfg.outdir, cfg.run_id, tables)
+            pairs.extend((f"config.{key}", value)
+                         for key, value in config_echo(cfg))
+            write_key_values(Path(cfg.outdir) / f"{cfg.run_id}_summary.txt",
+                             pairs)
+    except tuple(_RUN_FAILURES) as exc:
+        code, text = next(failure for kind, failure in _RUN_FAILURES.items()
+                          if isinstance(exc, kind))
+        print(f"error: {text.format(exc)}", file=sys.stderr)
+        return code
     print(f"{cfg.run_id}: {message}")
     return EXIT_OK if reached else EXIT_NOT_CONVERGED
 
@@ -499,12 +506,11 @@ def main(argv=None) -> int:
             print((__doc__ or "").strip(),
                   textwrap.fill(f"Keys: {_KNOWN_KEYS}."), sep="\n\n")
             return EXIT_OK
-        return dispatch(parse_config(pairs.pop("config", None), pairs))
-    except HeatSourceError as exc:
+        cfg = parse_config(pairs.pop("config", None), pairs)
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        # a size or level the model cannot represent is a bad setting too
-        return (EXIT_INVALID_CONFIG if isinstance(exc, DomainError)
-                else getattr(exc, "exit_code", EXIT_ERROR))
+        return exc.exit_code
+    return dispatch(cfg)
 
 
 if __name__ == "__main__":

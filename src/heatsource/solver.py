@@ -172,7 +172,10 @@ def stationarity_check(params: PolyParams, meas: Measurements,
     Margins are normalized by (1 + |lhs| + |rhs|).
     """
     stacked, r = _stacked_residual(params, meas, cfg, tables)
-    trials = _stationarity_trials(tables.n_x, tables.n_t)
+    # Each trial draws phi before theta; the roll puts the rows in the
+    # [theta | phi] layout of x.
+    trials = np.roll(np.random.default_rng(STATIONARITY_SEED).standard_normal(
+        (STATIONARITY_TRIALS, tables.n_t + tables.n_x)), tables.n_x, axis=1)
     deltas = trials - np.concatenate([params.theta, params.phi])
     response = deltas @ stacked.T
     # Row blocks of M: final-time profile, sensor history, penalty.
@@ -188,17 +191,6 @@ def stationarity_check(params: PolyParams, meas: Measurements,
         margin = (lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs))
         worst.append(float(margin.min()))
     return StationarityCheck(*worst)
-
-
-@functools.lru_cache(maxsize=16)
-def _stationarity_trials(n_x: int, n_t: int) -> np.ndarray:
-    """The audit's trials for n_x + n_t coefficients, one read-only row per
-    trial, drawn as [phi | theta] in the per-trial order and reordered to
-    the [theta | phi] layout of x.  Kept per size: every draw is the same."""
-    trials = np.roll(np.random.default_rng(STATIONARITY_SEED).standard_normal(
-        (STATIONARITY_TRIALS, n_t + n_x)), n_x, axis=1)
-    trials.flags.writeable = False
-    return trials
 
 
 # Typed: top = 3 and 3.0 give other bits from n = 35 on, as the integer

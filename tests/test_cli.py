@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from heatsource.cli import (EXIT_DIVERGED, EXIT_ERROR, EXIT_INVALID_CONFIG,
                             parse_config_text)
 from heatsource.errors import DivergenceError, DomainError, HeatSourceError
 from heatsource.harness import get_case
+from heatsource.output import OutputError
 
 
 def read_summary(path):
@@ -320,15 +322,29 @@ class TestDispatch:
         assert [k for k in summary if k.startswith("config.")] == [
             f"config.{f.name}" for f in fields(RunConfig)]
 
-    def test_divergence_exit_code(self, tmp_path, monkeypatch):
-        # the exact-step iteration cannot diverge on finite data, so the
-        # mapping is exercised by injecting the error
+    @pytest.mark.parametrize("exc, code, line", [
+        (DivergenceError("injected"), EXIT_DIVERGED,
+         "iteration diverged: injected"),
+        (OutputError("injected"), EXIT_IO_FAILURE, "injected"),
+        (OSError("injected"), EXIT_IO_FAILURE, "injected"),
+        (DomainError("injected"), EXIT_INVALID_CONFIG, "injected"),
+        (FloatingPointError("injected"), EXIT_INVALID_CONFIG,
+         "run overflows a float (injected)"),
+        (HeatSourceError("injected"), EXIT_ERROR, "injected"),
+    ], ids=["DivergenceError", "OutputError", "OSError", "DomainError",
+            "FloatingPointError", "HeatSourceError"])
+    def test_run_failure_exit_code(self, tmp_path, capsys, monkeypatch,
+                                   exc, code, line):
+        # dispatch maps each run failure by its first matching kind and
+        # reports it in one error: line; the exact-step iteration cannot
+        # diverge on finite data, so the failures are injected
         def boom(cfg):
-            raise DivergenceError("injected")
+            raise exc
 
         monkeypatch.setitem(cli._RUNNERS, "invert", boom)
         cfg = parse_config_text(f"command=invert\noutdir={tmp_path}\n")
-        assert dispatch(cfg) == EXIT_DIVERGED
+        assert dispatch(cfg) == code
+        assert capsys.readouterr() == ("", f"error: {line}\n")
 
 
 class TestMain:
@@ -340,16 +356,6 @@ class TestMain:
         bad = tmp_path / "bad.cfg"
         bad.write_text("no equals sign here\n")
         assert main(["invert", "--config", str(bad)]) == EXIT_PARSE_ERROR
-
-    def test_library_error_in_dispatch_exits_1(self, tmp_path, capsys,
-                                               monkeypatch):
-        def boom(cfg):
-            raise HeatSourceError("injected")
-
-        monkeypatch.setitem(cli._RUNNERS, "invert", boom)
-        assert main(["invert", "--outdir", str(tmp_path)]) == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert "error: injected" in err and "Traceback" not in err
 
     def test_end_to_end_invert(self, tmp_path):
         code = main(["invert", "--n_x", "6", "--n_t", "5", "--i_x", "50",
@@ -633,8 +639,38 @@ def test_flag_and_file_line_parse_alike(command, key, value):
     (["forward", "--n_t", "500", "--i_x", "10", "--i_t", "10"],
      EXIT_INVALID_CONFIG),
     (["invert", "--noise_level", "1e308"], EXIT_INVALID_CONFIG),
+    # in-range values whose run overflows a float
+    (["invert", "--n_x", "100"], EXIT_INVALID_CONFIG),
+    (["invert", "--noise_level", "1e200"], EXIT_INVALID_CONFIG),
+    (["forward", "--theta", "1e308,1e308"], EXIT_INVALID_CONFIG),
+    (["invert", "--alpha", "1e300"], EXIT_INVALID_CONFIG),
+    # an output directory under a regular file
+    (["invert", "--outdir", "{tmp}/blocker/sub"], EXIT_IO_FAILURE),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
 def test_console_exit_status(tmp_path, args, code):
+    (tmp_path / "blocker").write_text("file, not a directory")
+    proc = _console(tmp_path, args)
+    assert proc.returncode == code, proc.stderr
+    errors = [line for line in proc.stderr.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == (code != EXIT_OK), proc.stderr
+
+
+def test_console_sweep_cell_overflow_fails_alone(tmp_path):
+    # the overflowing cell is recorded in the sweep table; the run exits 5
+    # with no error: line
+    proc = _console(tmp_path, ["sweep", "--noise_level", "1e200",
+                               "--sweep_n", "6x5", "--sweep_xstar", "2.97"])
+    assert proc.returncode == EXIT_NOT_CONVERGED, proc.stderr
+    assert "error:" not in proc.stderr
+    with open(tmp_path / "sweep_example1_sweep.csv", newline="") as file:
+        [row] = csv.DictReader(file)
+    assert row["status"].startswith("error:"), row
+
+
+def _console(tmp_path, args):
+    """The console entry point run in a subprocess in ``tmp_path``; every
+    run leaves no traceback and no numpy RuntimeWarning on stderr."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -642,7 +678,6 @@ def test_console_exit_status(tmp_path, args, code):
         [sys.executable, "-m", "heatsource.cli",
          *[arg.format(tmp=tmp_path) for arg in args]],
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
-    assert proc.returncode == code, proc.stderr
-    assert ("error:" in proc.stderr) == (code != EXIT_OK)
     assert "Traceback" not in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+    return proc

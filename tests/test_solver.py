@@ -611,24 +611,23 @@ class TestStationarityCheck:
         assert check.holds_mixed
         assert check.holds_symmetric
 
-    def test_trials_are_drawn_once_per_size(self, example_problem):
-        # Every audit of one size reads one read-only draw, the rows of the
-        # per-trial order (phi before theta) in the [theta | phi] layout.
+    def test_trials_follow_one_seeded_draw(self, example_problem):
+        # Every audit draws the same trials from STATIONARITY_SEED, each
+        # trial phi before theta: its margins are those of the per-trial
+        # reference, and not those of the same draw read theta first.
         from heatsource import solver
 
         _, _, tables, meas = example_problem
         cfg = ObjectiveConfig(alpha=1e-6)
-        first = solver._stationarity_trials(tables.n_x, tables.n_t)
-        check = stationarity_check(PolyParams.zeros(6, 5), meas, cfg, tables)
-        assert solver._stationarity_trials(tables.n_x, tables.n_t) is first
-        assert check == stationarity_check(PolyParams.zeros(6, 5), meas, cfg,
-                                           tables)
-        rng = np.random.default_rng(solver.STATIONARITY_SEED)
-        for row in first:
-            assert np.array_equal(row[6:], rng.standard_normal(5))
-            assert np.array_equal(row[:6], rng.standard_normal(6))
-        with pytest.raises(ValueError, match="read-only"):
-            first[0, 0] = 0.0
+        params = PolyParams.zeros(6, 5)
+        check = stationarity_check(params, meas, cfg, tables)
+        assert check == stationarity_check(params, meas, cfg, tables)
+        got = [check.worst_margin_mixed, check.worst_margin_symmetric]
+        for phi_first in (True, False):
+            ref = _per_trial_stationarity(params, meas, cfg, tables,
+                                          seed=solver.STATIONARITY_SEED,
+                                          phi_first=phi_first)
+            assert np.allclose(got, ref, rtol=0.0, atol=1e-12) == phi_first
 
     @pytest.mark.parametrize("n_x, n_t", [
         pytest.param(6, 5, id="6x5"),
@@ -654,14 +653,19 @@ class TestStationarityCheck:
 
 
 def _per_trial_stationarity(params, meas, cfg, tables, n_trials=20,
-                            seed=20_240_817):
-    """Reference audit: one trial at a time, phi drawn before theta."""
+                            seed=20_240_817, phi_first=True):
+    """Reference audit: one trial at a time, phi drawn before theta (or
+    after it, with ``phi_first=False``)."""
     rng = np.random.default_rng(seed)
     r_f, r_s = residuals(params, meas, tables)
     worst = [math.inf, math.inf]
     for _ in range(n_trials):
-        trial_phi = rng.standard_normal(tables.n_t)
-        trial_theta = rng.standard_normal(tables.n_x)
+        if phi_first:
+            trial_phi = rng.standard_normal(tables.n_t)
+            trial_theta = rng.standard_normal(tables.n_x)
+        else:
+            trial_theta = rng.standard_normal(tables.n_x)
+            trial_phi = rng.standard_normal(tables.n_t)
         d_phi = trial_phi - params.phi
         d_theta = trial_theta - params.theta
         v_f = tables.final_theta @ d_theta + tables.final_phi @ d_phi
