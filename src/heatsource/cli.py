@@ -433,13 +433,16 @@ COMMANDS = tuple(_RUNNERS)
 
 # How a failed run exits: the first entry its exception is an instance of
 # gives the exit code and the text of its one "error:" line.  A size or
-# level the model cannot represent, and a run whose arithmetic overflows a
-# float, are bad settings too.
+# level the model cannot represent, a run whose arithmetic overflows a
+# float, and one too large for the memory (i_x and i_t have no upper
+# bound), are bad settings too.
 _RUN_FAILURES = {
     DivergenceError: (EXIT_DIVERGED, "iteration diverged: {}"),
     OSError: (EXIT_IO_FAILURE, "{}"),  # output.OutputError included
     DomainError: (EXIT_INVALID_CONFIG, "{}"),
     FloatingPointError: (EXIT_INVALID_CONFIG, "run overflows a float ({})"),
+    MemoryError: (EXIT_INVALID_CONFIG,
+                  "run needs more memory than is available ({})"),
     HeatSourceError: (EXIT_ERROR, "{}"),
 }
 

@@ -58,7 +58,9 @@ class TruncationPolicy:
 
     ``tol`` bounds the magnitude of the first neglected term; ``max_terms``
     caps the number of modes regardless.  Hitting the cap before the bound
-    emits a :class:`TruncationWarning`, not an error.
+    emits a :class:`TruncationWarning`, not an error: it marks a
+    conservative a-priori bound, not a measured error (README, "Capped
+    source series").
     """
 
     tol: float = 1e-12
@@ -73,25 +75,13 @@ class TruncationPolicy:
 
 DEFAULT_TRUNCATION = TruncationPolicy()
 
-# TruncationWarnings issued so far, counted whatever the warning filters do
-# with them: model.sensitivity_tables keeps no table layer whose build
-# issued one, so that every build of it warns again.
-_truncations_issued = 0
-
-
-def _warn_truncated(message: str, stacklevel: int) -> None:
-    """Issue a TruncationWarning attributed ``stacklevel`` frames up from
-    the caller, as ``warnings.warn`` there would, and count it."""
-    global _truncations_issued
-    _truncations_issued += 1
-    warnings.warn(message, TruncationWarning, stacklevel=stacklevel + 1)
-
 
 def mode_count(amplitude: float, t: float, length: float,
                trunc: TruncationPolicy) -> int:
     """Smallest mode count n with amplitude*exp(-(n*pi/L)^2 t) < trunc.tol.
 
-    Capped (with a warning) at trunc.max_terms.
+    Capped at trunc.max_terms, with a TruncationWarning attributed to the
+    caller; the warning filters alone decide whether it shows.
     """
     ratio = amplitude / trunc.tol
     if ratio <= 1.0:
@@ -99,10 +89,10 @@ def mode_count(amplitude: float, t: float, length: float,
     # Compared unrounded, so an infinite bound is capped too.
     bound = length / math.pi * math.sqrt(math.log(ratio) / t)
     if bound > trunc.max_terms:
-        _warn_truncated(
+        warnings.warn(
             f"series cut at {trunc.max_terms} modes before the tail bound "
             f"reached tol={trunc.tol:g}",
-            stacklevel=2,
+            TruncationWarning, stacklevel=2,
         )
         return trunc.max_terms
     return max(math.ceil(bound), 1)

@@ -9,20 +9,20 @@ frame x' = x - offset in [0, L]; only user-facing values carry the offset.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from . import kernels
-from .errors import DomainError, ShapeMismatchError
+from .errors import DomainError, ShapeMismatchError, TruncationWarning
 from .kernels import (
     DEFAULT_TRUNCATION,
     TruncationPolicy,
     _exp_negated,
-    _warn_truncated,
     exp_moment_rows,
     exp_moment_small,
     exp_moment_stack,
@@ -316,10 +316,10 @@ def _phi_modes(n_phi: int, t_min: float, t_max: float, length: float,
         raise DomainError(f"{n_phi} source coefficients at t={t_max:g}: the "
                           "moment tail bound overflows") from None
     if n > trunc.max_terms:
-        _warn_truncated(
+        warnings.warn(
             f"source-response series cut at {trunc.max_terms} modes before "
             f"the tail bound reached tol={trunc.tol:g}",
-            stacklevel=3,
+            TruncationWarning, stacklevel=3,
         )
         n = trunc.max_terms
     return np.arange(1, n + 1, 2, dtype=float)
@@ -436,10 +436,9 @@ class SensitivityTables:
     give the final-time profile response at x_i, ``sensor_*`` the interior
     history response at t_j; ``penalty_*`` are the plain monomial values
     entering the regularization sums.  ``sensitivity_tables`` reuses the
-    sensor-independent layer of the last rod and mesh only, never one whose
-    build issued a TruncationWarning; the ``final_*`` and ``penalty_*``
-    arrays it returns are read-only and shared with later calls on that rod
-    and mesh.
+    sensor-independent layer of the last rod and mesh only, capped or not;
+    the ``final_*`` and ``penalty_*`` arrays it returns are read-only and
+    shared with later calls on that rod and mesh.
 
     The memory layout of each table is part of the result: ``predict`` and
     the solvers multiply by these arrays through BLAS, whose summation
@@ -566,11 +565,15 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-# The layers sensitivity_tables built on the last rod and mesh it was called
-# on: (key of that rod and mesh, {(n_x, n_t, trunc): RodTables}).  A dict
-# only ever receives layers of its own key, so calls racing on two rods can
-# lose a layer but never return one of the other rod.
-_kept = (None, {})
+@functools.lru_cache(maxsize=1)
+def _rod_layers(rod) -> dict:
+    """The layers ``sensitivity_tables`` keeps for the rod and mesh ``rod``
+    (offset, length, t_final and the node bytes), keyed by ``(n_x, n_t,
+    trunc)``.  Only the last rod's dict is cached, so a call on another rod
+    drops every kept layer.  A dict only ever receives layers of its own
+    key, so calls racing on two rods can lose a layer but never return one
+    of the other rod."""
+    return {}
 
 
 def sensitivity_tables(geom: Geometry, mesh: MeasurementMesh, n_x: int,
@@ -583,27 +586,20 @@ def sensitivity_tables(geom: Geometry, mesh: MeasurementMesh, n_x: int,
     and mesh only, one per ``(n_x, n_t, trunc)``: a later call on the same
     offset, length, t_final and node values, at any sensor, builds just the
     sensor histories, and a call on another rod or mesh drops every kept
-    layer.  A build that issued a TruncationWarning is not kept, so each
-    such call warns again.  The final and penalty tables are read-only and
-    are computed from copies of the nodes, so writing to the mesh later
-    reaches no kept layer.  The tables carry the caller's ``geom`` and
-    ``mesh`` and equal a fresh build bit for bit, layout included.
+    layer.  A layer whose series hit ``trunc.max_terms`` is kept like any
+    other: its build warns, and a later call that finds it kept does not.
+    The final and penalty tables are read-only and are computed from
+    copies of the nodes, so writing to the mesh later reaches no kept
+    layer.  The tables carry the caller's ``geom`` and ``mesh`` and equal a
+    fresh build bit for bit, layout included.
     """
-    global _kept
     # n_x=6.0 must fail as a build does, not find the layer kept for 6.
     size = (operator.index(n_x), operator.index(n_t), trunc)
-    rod = (geom.offset, geom.length, geom.t_final, mesh.x_nodes.tobytes(),
-           mesh.t_nodes.tobytes())
-    kept_rod, layers = _kept
-    if kept_rod != rod:
-        layers = {}
-        _kept = (rod, layers)
+    layers = _rod_layers((geom.offset, geom.length, geom.t_final,
+                          mesh.x_nodes.tobytes(), mesh.t_nodes.tobytes()))
     layer = layers.get(size)
     if layer is None:
-        issued = kernels._truncations_issued
-        layer = rod_tables(geom, mesh, n_x, n_t, trunc)
-        if kernels._truncations_issued == issued:
-            layers[size] = layer
+        layer = layers[size] = rod_tables(geom, mesh, n_x, n_t, trunc)
     [tables] = layer.at_sensors([geom.sensor])
     return replace(tables, geom=geom, mesh=mesh, n_x=n_x, n_t=n_t,
                    trunc=trunc)

@@ -330,14 +330,17 @@ class TestDispatch:
         (DomainError("injected"), EXIT_INVALID_CONFIG, "injected"),
         (FloatingPointError("injected"), EXIT_INVALID_CONFIG,
          "run overflows a float (injected)"),
+        (MemoryError("injected"), EXIT_INVALID_CONFIG,
+         "run needs more memory than is available (injected)"),
         (HeatSourceError("injected"), EXIT_ERROR, "injected"),
     ], ids=["DivergenceError", "OutputError", "OSError", "DomainError",
-            "FloatingPointError", "HeatSourceError"])
+            "FloatingPointError", "MemoryError", "HeatSourceError"])
     def test_run_failure_exit_code(self, tmp_path, capsys, monkeypatch,
                                    exc, code, line):
         # dispatch maps each run failure by its first matching kind and
         # reports it in one error: line; the exact-step iteration cannot
-        # diverge on finite data, so the failures are injected
+        # diverge on finite data, and a real MemoryError would need a real
+        # allocation, so the failures are injected
         def boom(cfg):
             raise exc
 

@@ -157,23 +157,68 @@ def test_source_response_respects_max_terms_cap():
         phi_response_profile([1.0], 2.0, L, 12, tight)
 
 
-def test_capped_table_builds_warn_on_every_call(cold_table_memo):
-    # A layer whose build warned is not kept, so a repeated call builds and
-    # warns again; the final profiles and both histories hit the cap (the
-    # theta profile needs 10 modes here), and each warns once.
+def test_capped_table_layer_is_kept(cold_table_memo, monkeypatch):
+    # A capped layer is kept like any other.  Its build warns once per
+    # capped series: the final profiles and both histories hit the cap (the
+    # theta profile needs 10 modes here).  A repeated call returns the kept
+    # tables bit for bit, with no build and no warning; a fresh rod_tables
+    # build warns four times again.
+    import warnings
+
+    from heatsource import model
     from heatsource.errors import TruncationWarning
     from heatsource.harness import get_case
 
     geom = get_case("example1").geometry
     mesh = MeasurementMesh.regular(geom, 100, 100)
     tight = TruncationPolicy(tol=1e-12, max_terms=8)
-    counts = []
-    for _ in range(2):
-        with pytest.warns(TruncationWarning) as caught:
-            sensitivity_tables(geom, mesh, 12, 9, tight)
-        counts.append(sum(issubclass(w.category, TruncationWarning)
-                          for w in caught))
-    assert counts == [4, 4]
+    with pytest.warns(TruncationWarning) as caught:
+        first = sensitivity_tables(geom, mesh, 12, 9, tight)
+    assert len(caught) == 4
+    builds = []
+    real_rod_tables = model.rod_tables
+
+    def counting_rod_tables(*args, **kwargs):
+        builds.append(args)
+        return real_rod_tables(*args, **kwargs)
+
+    monkeypatch.setattr(model, "rod_tables", counting_rod_tables)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        again = sensitivity_tables(geom, mesh, 12, 9, tight)
+    assert caught == [] and builds == []
+    for field in TestKeptLayers.FIELDS:
+        a, b = getattr(again, field), getattr(first, field)
+        assert np.array_equal(a, b), field
+        assert np.array_equal(np.signbit(a), np.signbit(b)), field
+    with pytest.warns(TruncationWarning) as caught:
+        rod_tables(geom, mesh, 12, 9, tight)
+    assert len(caught) == 4
+
+
+@pytest.mark.parametrize("n_t", [48, 60])
+def test_capped_source_series_stays_close(n_t):
+    # With the default policy example1's phi series hits max_terms from
+    # n_t = 48 on its 100x100 mesh.  The warning marks a conservative bound,
+    # not a measured error: against a build with room for every mode, the
+    # capped phi tables agree to 3.8e-15 (final) and 2.1e-15 (sensor) of
+    # each column's largest magnitude at n_t = 48, and to 4.2e-14 and
+    # 1.4e-14 at n_t = 60.
+    from heatsource.errors import TruncationWarning
+    from heatsource.harness import get_case
+
+    geom = get_case("example1").geometry
+    mesh = MeasurementMesh.regular(geom, 100, 100)
+    with pytest.warns(TruncationWarning, match="cut at 10000 modes"):
+        [capped] = rod_tables(geom, mesh, 3, n_t, TR).at_sensors(
+            [geom.sensor])
+    [full] = rod_tables(geom, mesh, 3, n_t,
+                        TruncationPolicy(max_terms=40_000)).at_sensors(
+        [geom.sensor])
+    for field in ("final_phi", "sensor_phi"):
+        a, b = getattr(capped, field), getattr(full, field)
+        scale = np.abs(b).max(axis=0)
+        assert np.all(np.abs(a - b).max(axis=0) <= 1e-12 * scale), field
 
 
 class TestSourceResponseClosedForms:
@@ -444,7 +489,13 @@ class TestKeptLayers:
                     got = sensitivity_tables(g, m, n_x, n_t, TR)
                     built += len(stacks) - calls
                     used.add((n_x, n_t))
-                    assert len(model._kept[1]) <= len(used)
+                    # The layers kept for this rod, read through the
+                    # cache: the one just used is among them.
+                    layers = model._rod_layers(
+                        (g.offset, g.length, g.t_final,
+                         m.x_nodes.tobytes(), m.t_nodes.tobytes()))
+                    assert (n_x, n_t, TR) in layers
+                    assert len(layers) <= len(used)
                     assert got.geom is g and got.mesh is m
                     assert (got.n_x, got.n_t, got.trunc) == (n_x, n_t, TR)
                     [want] = rod_tables(g, m, n_x, n_t, TR).at_sensors(
