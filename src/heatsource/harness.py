@@ -168,7 +168,7 @@ def generate_measurements(case: ManufacturedCase, mesh: MeasurementMesh,
     independent of series truncation); otherwise predicts the data from the
     case's exact coefficients on a table set of exactly their size.
     """
-    if noise_level < 0.0:
+    if not noise_level >= 0.0:
         raise ValueError(f"noise_level must be >= 0, got {noise_level}")
     geom = case.geometry
     if case.exact_u is not None:
@@ -211,8 +211,9 @@ def rmse_report(case: ManufacturedCase, params: PolyParams,
 
 @dataclass
 class InversionResult:
-    """Everything a single inversion produced, with the measurements and
-    response tables it solved (scored on ``tables.mesh``)."""
+    """One solved and scored inversion: its coefficients, trace, convergence
+    and error reports, and the measurements and response tables it solved
+    (scored on ``tables.mesh``)."""
 
     params: PolyParams
     trace: IterationTrace
@@ -225,42 +226,30 @@ class InversionResult:
 def invert_case(case: ManufacturedCase, n_x: int, n_t: int,
                 obj_cfg: ObjectiveConfig, solver_cfg: SolverConfig,
                 i_x: int = 100, i_t: int = 100, noise_level: float = 0.0,
-                seed: int = 42,
-                tables: SensitivityTables | None = None,
-                meas: Measurements | None = None,
-                fit: tuple | None = None
-                ) -> InversionResult:
-    """Generate data for the case, run the inversion, and score it.
+                seed: int = 42) -> InversionResult:
+    """Build the regular ``i_x`` x ``i_t`` mesh, the case's data on it, its
+    response tables and polynomial fit, then solve and score them."""
+    mesh = MeasurementMesh.regular(case.geometry, i_x, i_t)
+    meas = generate_measurements(case, mesh, noise_level, seed)
+    tables = sensitivity_tables(case.geometry, mesh, n_x, n_t)
+    return _solve_and_score(case, meas, tables, obj_cfg, solver_cfg,
+                            case.fit_params(mesh, n_x, n_t))
 
-    ``tables``, when given, must have been built for this case's geometry
-    on the regular ``i_x`` x ``i_t`` mesh with ``n_x`` and ``n_t`` under
-    the default truncation policy; otherwise they are built here, after
-    the measurements.  The run is scored on their mesh.
-    ``meas``, when given, must be what :func:`generate_measurements` returns
-    for this case on that mesh with ``noise_level`` and ``seed``; otherwise
-    it is generated here.  ``fit``, when given, must be what
-    ``case.fit_params`` returns on that mesh with ``n_x`` and ``n_t``;
-    otherwise it is computed here.
-    """
-    geom = case.geometry
-    mesh = (tables.mesh if tables is not None
-            else MeasurementMesh.regular(geom, i_x, i_t))
-    if meas is None:
-        meas = generate_measurements(case, mesh, noise_level, seed)
-    if tables is None:
-        tables = sensitivity_tables(geom, mesh, n_x, n_t)
-    params, trace, report = solve(meas, geom, mesh, n_x, n_t, obj_cfg,
+
+def _solve_and_score(case: ManufacturedCase, meas: Measurements,
+                     tables: SensitivityTables, obj_cfg: ObjectiveConfig,
+                     solver_cfg: SolverConfig, fit: tuple) -> InversionResult:
+    """Solve ``meas`` on ``tables`` and score the result on their mesh;
+    ``fit`` is what ``case.fit_params`` returns on that mesh."""
+    params, trace, report = solve(meas, case.geometry, tables.mesh,
+                                  tables.n_x, tables.n_t, obj_cfg,
                                   solver_cfg, tables=tables)
-    errors = rmse_report(case, params, mesh)
-    if fit is None:
-        fit = case.fit_params(mesh, n_x, n_t)
     _, fit_f, fit_u0 = fit
-    errors.iterations = report.iterations
-    errors.final_cost = report.final_cost
-    errors.status = report.status
-    errors.alpha = obj_cfg.alpha
-    errors.fit_residual_f = fit_f
-    errors.fit_residual_u0 = fit_u0
+    errors = replace(rmse_report(case, params, tables.mesh),
+                     iterations=report.iterations,
+                     final_cost=report.final_cost, status=report.status,
+                     alpha=obj_cfg.alpha, fit_residual_f=fit_f,
+                     fit_residual_u0=fit_u0)
     return InversionResult(params=params, trace=trace, report=report,
                            errors=errors, meas=meas, tables=tables)
 
@@ -302,47 +291,44 @@ def sweep(case: ManufacturedCase, cells, solver_cfg: SolverConfig,
           seed: int = 42):
     """Run one inversion per cell and return the reports in cell order.
 
-    Cells of one size share one sensor-independent table layer, one
-    history build for all their sensors and one polynomial fit of the
-    exact functions, cells that differ only in alpha share one set of
-    response tables, and cells at one sensor share its measurements.
-    Per-cell failures are recorded in the report's status and do not stop
-    the sweep.
+    All cells share one mesh, cells of one size one sensor-independent
+    table layer, one history build for all their sensors and one
+    polynomial fit of the exact functions, cells that differ only in alpha
+    one set of response tables, and cells at one sensor its measurements;
+    each cell is solved and scored as in :func:`invert_case`.  A cell's
+    failure is recorded in its report's status and does not stop the sweep.
     After the run, the sensor-position trend of the initial-profile error
     is checked per size and alpha over two or more sensors and logged (soft
     observation, never a failure).
     """
     cells = list(cells)
     reports = []
-    tables = {}  # (n_x, n_t) -> {x_star: SensitivityTables}
-    fits = {}  # (n_x, n_t) -> fit_params
+    mesh = None  # the rod's regular mesh, built by the first cell to need it
+    shared = {}  # (n_x, n_t) -> ({x_star: SensitivityTables}, fit_params)
     measurements = {}  # x_star -> Measurements
     for cell in cells:
         try:
             cell_case = case.with_sensor(cell.x_star)
             geom = cell_case.geometry
-            mesh = MeasurementMesh.regular(geom, i_x, i_t)
+            if mesh is None:
+                mesh = MeasurementMesh.regular(geom, i_x, i_t)
             if cell.x_star not in measurements:
                 measurements[cell.x_star] = generate_measurements(
                     cell_case, mesh, noise_level, seed)
             size = (cell.n_x, cell.n_t)
-            if size not in tables:
+            if size not in shared:
                 # One layer and one history build per size, for all its
                 # sensors that lie in the rod; the others fail above.
                 sensors = list(dict.fromkeys(
                     c.x_star for c in cells
                     if (c.n_x, c.n_t) == size and geom.contains(c.x_star)))
-                tables[size] = dict(zip(sensors, rod_tables(
-                    geom, mesh, *size).at_sensors(sensors)))
-            if size not in fits:
-                fits[size] = cell_case.fit_params(mesh, *size)
-            result = invert_case(
-                cell_case, cell.n_x, cell.n_t,
-                ObjectiveConfig(alpha=cell.alpha), solver_cfg,
-                i_x=i_x, i_t=i_t, noise_level=noise_level, seed=seed,
-                tables=tables[size][cell.x_star],
-                meas=measurements[cell.x_star], fit=fits[size])
-            reports.append(result.errors)
+                shared[size] = (dict(zip(sensors, rod_tables(
+                    geom, mesh, *size).at_sensors(sensors))),
+                    cell_case.fit_params(mesh, *size))
+            tables, fit = shared[size]
+            reports.append(_solve_and_score(
+                cell_case, measurements[cell.x_star], tables[cell.x_star],
+                ObjectiveConfig(alpha=cell.alpha), solver_cfg, fit).errors)
         except Exception as exc:  # per-cell isolation
             logger.warning("sweep cell %s failed: %s", cell, exc)
             reports.append(ErrorReport(

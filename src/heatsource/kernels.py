@@ -69,7 +69,7 @@ class TruncationPolicy:
     def __post_init__(self):
         if not self.tol > 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_terms < 1:
+        if not self.max_terms >= 1:
             raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
 
 

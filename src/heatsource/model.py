@@ -197,7 +197,7 @@ def theta_response_profile(xs, t: float, length: float, n_theta: int,
                            trunc: TruncationPolicy) -> np.ndarray:
     """Responses of u(x, t) to each initial-profile coefficient, for many x
     at one time.  Shape (len(xs), n_theta)."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    xs = _profile_points(xs, t)
     modes = _theta_modes(n_theta, t, length, trunc)
     lam = (math.pi / length) * modes
     weights = sine_moment_stack(n_theta - 1, modes, length) * np.exp(-lam * lam * t)
@@ -218,6 +218,12 @@ def _history_times(ts) -> np.ndarray:
     if not np.all(ts > 0.0):
         raise DomainError("history times must be positive")
     return ts
+
+
+def _profile_points(xs, t: float) -> np.ndarray:
+    if not t > 0.0:
+        raise DomainError(f"t must be positive, got {t}")
+    return np.atleast_1d(np.asarray(xs, dtype=float))
 
 
 def _theta_history(ts, length: float, n_theta: int, trunc: TruncationPolicy):
@@ -372,9 +378,7 @@ def phi_response_profile(xs, t: float, length: float, n_phi: int,
                          trunc: TruncationPolicy) -> np.ndarray:
     """Responses of u(x, t) to each source coefficient, for many x at one
     time.  Shape (len(xs), n_phi)."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if not t > 0.0:
-        raise DomainError(f"t must be positive, got {t}")
+    xs = _profile_points(xs, t)
     modes = _phi_modes(n_phi, t, t, length, trunc)
     lam = (math.pi / length) * modes
     stack = exp_moment_stack(n_phi - 1, lam * lam, np.array([t]))[:, :, 0]

@@ -64,7 +64,7 @@ class ObjectiveConfig:
     alpha: float = 1e-6
 
     def __post_init__(self):
-        if self.alpha < 0.0:
+        if not self.alpha >= 0.0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
 
 

@@ -1,8 +1,10 @@
 """CSV and key=value emission shared by the harness and the CLI.
 
 Schema: comma separators, '.' decimal point, scientific notation with ten
-significant digits, mandatory header row.  Files are written atomically
-(temp file plus rename) so partial outputs never appear under final names.
+significant digits, mandatory header row; a text field that holds a comma,
+a double quote or a line break is quoted, its quotes doubled (RFC 4180).
+Files are written atomically (temp file plus rename) so partial outputs
+never appear under final names.
 """
 
 from __future__ import annotations
@@ -33,6 +35,14 @@ def format_value(value) -> str:
     if isinstance(value, float):
         return f"{value:.9e}"
     return str(value)
+
+
+def _csv_field(value) -> str:
+    """``format_value``'s text, quoted as the module docstring says."""
+    text = format_value(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -163,10 +173,9 @@ def write_csv(path, header, rows) -> Path:
         for row in rows:
             row = list(row)
             if len(row) != width:
-                raise ValueError(
-                    f"row width {len(row)} != header width {width} for {path}"
-                )
-            lines.append(",".join(format_value(v) for v in row) + "\n")
+                raise ValueError(f"row width {len(row)} != header width "
+                                 f"{width} for {path}")
+            lines.append(",".join(map(_csv_field, row)) + "\n")
         data = head + "".join(lines).encode()
     _atomic_write(path, data)
     return path

@@ -79,7 +79,7 @@ class SolverConfig:
     def __post_init__(self):
         if not self.epsilon > 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.max_iters < 0:
+        if not self.max_iters >= 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
 
 

@@ -367,6 +367,27 @@ class TestMain:
         assert code == EXIT_OK
         assert (tmp_path / "e2e_summary.txt").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["forward", "--case", "polynomial", "--phi", "1,1",
+         "--theta", "0,2,-1"],
+        ["invert", "--n_x", "6", "--n_t", "5"],
+        ["sensitivity", "--n_x", "6", "--n_t", "5"],
+        # the 200x9 cell fails with an error status that holds a comma
+        ["sweep", "--sweep_n", "200x9,3x2", "--sweep_xstar", "2.97"],
+    ], ids=lambda args: args[0])
+    def test_every_csv_row_is_as_wide_as_its_header(self, tmp_path, args):
+        main([*args, "--i_x", "10", "--i_t", "10",
+              "--outdir", str(tmp_path)])
+        paths = sorted(tmp_path.glob("*.csv"))
+        assert paths
+        for path in paths:
+            with open(path, newline="") as file:
+                header, *rows = csv.reader(file)
+            assert rows, path
+            assert {len(row) for row in rows} == {len(header)}, path
+        if args[0] == "sweep":
+            assert "," in rows[0][header.index("status")]
+
     def test_flag_beats_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("command=sensitivity\nn_x=6\nn_t=5\ni_x=20\ni_t=20\n"

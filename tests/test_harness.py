@@ -145,6 +145,24 @@ class TestGenerateMeasurements:
             generate_measurements(example1, mesh, noise_level=-0.1)
 
 
+def _measurements_at_noise(noise_level):
+    case = get_case("example1")
+    small = MeasurementMesh.regular(case.geometry, 5, 5)
+    return generate_measurements(case, small, noise_level=noise_level)
+
+
+@pytest.mark.parametrize("build, message", [
+    (_measurements_at_noise, "noise_level must be >= 0"),
+    (lambda nan: ObjectiveConfig(alpha=nan), "alpha must be >= 0"),
+    (lambda nan: SolverConfig(max_iters=nan), "max_iters must be >= 0"),
+    (lambda nan: TruncationPolicy(max_terms=nan), "max_terms must be >= 1"),
+], ids=["noise_level", "alpha", "max_iters", "max_terms"])
+def test_nan_fails_the_range_checks(build, message):
+    # each check rejects NaN, not only the values below its bound
+    with pytest.raises(ValueError, match=f"{message}, got nan"):
+        build(math.nan)
+
+
 class TestRmse:
     def test_zero_for_exact_samples(self, mesh):
         case = get_case("polynomial")
@@ -213,17 +231,6 @@ class TestInvertCase:
         assert rep.fit_residual_f > 0 and rep.fit_residual_u0 > 0
         assert len(result.trace) == result.report.iterations + 1
 
-    def test_scores_on_the_mesh_of_given_tables(self, example1):
-        # given tables, the run is scored on their mesh: a sweep builds
-        # no second regular mesh per cell
-        geom = example1.geometry
-        tables = sensitivity_tables(
-            geom, MeasurementMesh.regular(geom, 30, 30), 4, 3)
-        result = invert_case(example1, 4, 3, ObjectiveConfig(alpha=1e-6),
-                             SolverConfig(max_iters=20), i_x=30, i_t=30,
-                             tables=tables)
-        assert result.tables is tables
-
 
 class TestSweep:
     def test_single_cell(self, example1):
@@ -231,6 +238,26 @@ class TestSweep:
         reports = sweep(example1, cells, SolverConfig(), i_x=50, i_t=50)
         assert len(reports) == 1
         assert reports[0].n_x == 6 and reports[0].x_star == 2.97
+
+    def test_builds_one_mesh(self, example1, monkeypatch):
+        # the mesh depends on the rod alone, so every cell shares one
+        from heatsource import model
+
+        built = []
+        real_regular = model.MeasurementMesh.regular.__func__
+
+        def counting_regular(cls, geom, i_x, i_t):
+            built.append((i_x, i_t))
+            return real_regular(cls, geom, i_x, i_t)
+
+        monkeypatch.setattr(model.MeasurementMesh, "regular",
+                            classmethod(counting_regular))
+        cells = [SweepCell(n_x=n_x, n_t=n_t, x_star=x, alpha=1e-6)
+                 for n_x, n_t in ((4, 3), (3, 2)) for x in (-0.17, 2.97)]
+        reports = sweep(example1, cells, SolverConfig(max_iters=20),
+                        i_x=25, i_t=25)
+        assert built == [(25, 25)]
+        assert not any(r.status.startswith("error") for r in reports)
 
     def test_default_grid(self):
         cells = default_sweep_cells()

@@ -149,6 +149,14 @@ class TestForwardEvaluation:
                 phi_response_profile([0.5, 1.0], t, L, 2, TR)
 
 
+@pytest.mark.parametrize("build", [theta_response_profile,
+                                   phi_response_profile])
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
+def test_profile_time_must_be_positive(build, t):
+    with pytest.raises(DomainError, match="t must be positive, got"):
+        build([0.5, 1.0], t, L, 3, TR)
+
+
 def test_source_response_respects_max_terms_cap():
     from heatsource.errors import TruncationWarning
 
